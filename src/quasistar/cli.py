@@ -12,14 +12,14 @@ Verification reports are emitted one record per line in a fixed field order::
 
 and the exit code is 0 when every record verified, 1 on a mismatch, 2 on a
 usage error, and 3 on numerical non-convergence.  All output is produced by a
-single writer after the (optionally threaded) scan has finished, so repeated
-runs are byte-identical for any thread count.
+single writer after the scan has finished, so repeated runs are
+byte-identical.  ``--threads`` is accepted and ignored: scans run on one
+thread, which measured faster than a GIL-bound thread pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -136,7 +136,6 @@ def _cmd_rho(args) -> int:
     print(f"rho={_fmt(spec.rho)}")
     print(f"q={_fmt(2.0 * spec.rho)}")
     print(f"residual={_fmt(spec.residual)}")
-    print(f"iterations={spec.iterations}")
     print("perron=" + " ".join(_fmt(v) for v in spec.perron))
     return 0
 
@@ -189,21 +188,20 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads
     if args.target == "t41":
         n_values = _parse_range(args.n or "4..12")
         alphas = _parse_alphas(args.alpha or "1/2,3/4")
-        reports = verify_sparse_band(n_values, alphas, threads=threads)
+        reports = verify_sparse_band(n_values, alphas)
     elif args.target == "t12":
         n_values = _parse_range(args.n or "4..16")
-        reports = verify_all_graphs_2n2(n_values, threads=threads)
+        reports = verify_all_graphs_2n2(n_values)
     elif args.target == "t42":
         if args.r is None:
             raise ValueError("verify t42 needs --r")
         alphas = _parse_alphas(args.alpha or "1/2,3/4")
         reports = []
         for n in _parse_range(args.n or "24"):
-            reports.extend(verify_clique_band(args.r, n, alphas, threads=threads))
+            reports.extend(verify_clique_band(args.r, n, alphas))
     elif args.target == "lemma24":
         n_values = _parse_range(args.n or "4..7")
         alphas = _parse_alphas(args.alpha or "0,1/2,3/4")
@@ -211,7 +209,7 @@ def _cmd_verify(args) -> int:
         for n in n_values:
             for m in range(n - 1, n * (n - 1) // 2 + 1):
                 for alpha in alphas:
-                    reports.append(threshold_dominance_report(n, m, alpha, threads=threads))
+                    reports.append(threshold_dominance_report(n, m, alpha))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown verification target {args.target!r}")
 
@@ -244,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="output style for verification reports",
     )
     parser.add_argument(
-        "--threads", type=int, default=max(1, os.cpu_count() or 1),
-        help="worker threads for family scans (results are thread-count invariant)",
+        "--threads", type=int, default=1,
+        help="accepted for compatibility and ignored; scans run on one thread",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

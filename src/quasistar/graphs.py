@@ -28,7 +28,7 @@ Families provided here, for n vertices and m edges:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
 ISOLATED = "I"
@@ -94,6 +94,19 @@ class ThresholdGraph:
     def degree_sequence(self) -> tuple[int, ...]:
         """Non-increasing degree sequence."""
         return tuple(sorted(self.creation_degrees(), reverse=True))
+
+    @cached_property
+    def stepwise_rows(self) -> tuple[int, ...]:
+        """Adjacency bitmasks in stepwise labels, equal to ``to_labeled(g).bitrows()``.
+
+        In the degree-descending order every neighborhood is a prefix: vertex v
+        of degree d is adjacent to 1..d, or to 1..d+1 except itself when v <= d.
+        """
+        rows = [0]
+        for v, d in enumerate(self.degree_sequence(), start=1):
+            reach = d + (v <= d)
+            rows.append(((1 << (reach + 1)) - 2) & ~(1 << v))
+        return tuple(rows)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThresholdGraph({self.text})"
@@ -195,7 +208,6 @@ def parse_creation(text: str) -> ThresholdGraph:
     return from_creation_sequence(text.strip())
 
 
-@lru_cache(maxsize=None)
 def to_labeled(g: ThresholdGraph) -> LabeledGraph:
     """Relabel in degree-descending order (ties: later-added vertex first).
 

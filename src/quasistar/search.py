@@ -23,7 +23,6 @@ kappa, delta_j, s, theta used in the structural analysis of extremal hosts.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,6 @@ from .graphs import (
     is_threshold,
     quasi_star,
     tilde_s,
-    to_labeled,
 )
 from .spectra import (
     HALF,
@@ -139,8 +137,11 @@ def _perm_weights(n: int) -> np.ndarray:
     return weights
 
 
-def _canonical_many(masks, n: int, chunk: int = 512) -> list[int]:
-    """Canonical form (minimum relabeling) of each bitmask in masks."""
+def _canonical_many(masks, n: int, chunk: int = 64) -> list[int]:
+    """Canonical form (minimum relabeling) of each bitmask in masks.
+
+    Chunks of 64 keep the (n! x chunk) float64 product at 2.6 MB for n = 7.
+    """
     pairs, _ = _pairs(n)
     weights = _perm_weights(n)
     out = []
@@ -246,39 +247,16 @@ class VerificationReport:
         )
 
 
-def _scan(items, threads: int):
-    """Evaluate (key, rho_fn) pairs, optionally in prefix-contiguous chunks.
-
-    Each chunk is evaluated independently and results are concatenated in
-    chunk order, so the outcome is identical for every thread count.
-    """
-    if threads <= 1 or len(items) < 4:
-        return [(key, fn()) for key, fn in items]
-    chunks = np.array_split(np.arange(len(items)), threads)
-    def run(idx):
-        return [(items[i][0], items[i][1]()) for i in idx]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run, chunks))
-    return [pair for part in parts for pair in part]
-
-
-def argmax_rho(family: FamilySpec, alpha, threads: int = 1) -> VerificationReport:
+def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     """Scan the family for its spectral-radius maximizers at the given alpha."""
     alpha = as_alpha(alpha)
     start = time.perf_counter()
     if family.universe == THRESHOLD:
-        items = [
-            (g.text, (lambda gg=g: threshold_spectrum(gg, alpha).rho))
-            for g in enumerate_threshold(family)
-        ]
+        scored = [(g.text, threshold_spectrum(g, alpha).rho) for g in enumerate_threshold(family)]
     else:
-        items = [
-            (edge_key(g), (lambda gg=g: spectral_radius(gg, alpha).rho))
-            for g in enumerate_all(family)
-        ]
-    if not items:
+        scored = [(edge_key(g), spectral_radius(g, alpha).rho) for g in enumerate_all(family)]
+    if not scored:
         raise ValueError(f"family {family} is empty")
-    scored = _scan(items, threads)
     rho_max = max(rho for _, rho in scored)
     maximizers = tuple(sorted(key for key, rho in scored if rho >= rho_max - RHO_COMPARE_TOL))
     outside = [rho for _, rho in scored if rho < rho_max - RHO_COMPARE_TOL]
@@ -332,7 +310,7 @@ def _with_match(report: VerificationReport, expected: set[str], extra_warnings=(
     )
 
 
-def verify_sparse_band(n_values, alphas, threads: int = 1) -> list[VerificationReport]:
+def verify_sparse_band(n_values, alphas) -> list[VerificationReport]:
     """Connected-family scans for every m in [n-1, 2n-2].
 
     Expected outcome: the quasi-star alone, except the two-graph tie with
@@ -345,12 +323,12 @@ def verify_sparse_band(n_values, alphas, threads: int = 1) -> list[VerificationR
         for m in range(n - 1, 2 * n - 1):
             for alpha in alphas:
                 family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
-                report = argmax_rho(family, alpha, threads=threads)
+                report = argmax_rho(family, alpha)
                 reports.append(_with_match(report, predicted_maximizers(n, m, alpha)))
     return reports
 
 
-def verify_all_graphs_2n2(n_values, threads: int = 1) -> list[VerificationReport]:
+def verify_all_graphs_2n2(n_values) -> list[VerificationReport]:
     """Scans over all (not necessarily connected) threshold graphs, m = 2n-2.
 
     At alpha = 1/2 the expected maximizer is K_5 u K_1 for n = 6 and the
@@ -363,7 +341,7 @@ def verify_all_graphs_2n2(n_values, threads: int = 1) -> list[VerificationReport
             raise ValueError("needs n >= 4 so that m = 2n-2 is feasible")
         m = 2 * n - 2
         family = FamilySpec(n, m, connected_only=False, universe=THRESHOLD)
-        report = argmax_rho(family, HALF, threads=threads)
+        report = argmax_rho(family, HALF)
         if n == 6:
             expected = {"IDDDDI"}  # K_5 u K_1
         else:
@@ -377,7 +355,7 @@ def clique_band_hypothesis_bound(r: int) -> float:
     return (30 * r - 63 + 5 * (32 * r * r - 136 * r + 137) ** 0.5) / 2
 
 
-def verify_clique_band(r: int, n: int, alphas, threads: int = 1) -> list[VerificationReport]:
+def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
     """Connected-family scans for (r-1)n - r(r-1)/2 < m <= rn - r(r+1)/2.
 
     Expected outcome: quasi-star alone, except the S~ tie at alpha = 1/2 and
@@ -396,12 +374,12 @@ def verify_clique_band(r: int, n: int, alphas, threads: int = 1) -> list[Verific
     for m in range(lo + 1, hi + 1):
         for alpha in alphas:
             family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
-            report = argmax_rho(family, alpha, threads=threads)
+            report = argmax_rho(family, alpha)
             reports.append(_with_match(report, predicted_maximizers(n, m, alpha), extra))
     return reports
 
 
-def threshold_dominance_report(n: int, m: int, alpha, threads: int = 1) -> VerificationReport:
+def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
     """Compare the ALL-connected maximum against the threshold-only maximum.
 
     ``matches_theorem`` is True when the two maxima agree within 1e-9 and
@@ -409,8 +387,8 @@ def threshold_dominance_report(n: int, m: int, alpha, threads: int = 1) -> Verif
     """
     all_family = FamilySpec(n, m, connected_only=True, universe=ALL)
     thr_family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
-    all_report = argmax_rho(all_family, alpha, threads=threads)
-    thr_report = argmax_rho(thr_family, alpha, threads=threads)
+    all_report = argmax_rho(all_family, alpha)
+    thr_report = argmax_rho(thr_family, alpha)
     agree = abs(all_report.rho_max - thr_report.rho_max) <= RHO_COMPARE_TOL
     masks = {edge_key(g): g for g in enumerate_all(all_family)}
     all_threshold = all(is_threshold(masks[key]) for key in all_report.maximizer_set)
@@ -426,9 +404,9 @@ def threshold_dominance_report(n: int, m: int, alpha, threads: int = 1) -> Verif
     )
 
 
-def verify_threshold_dominance(n: int, m: int, alpha, threads: int = 1) -> bool:
+def verify_threshold_dominance(n: int, m: int, alpha) -> bool:
     """True iff the connected maximizers at (n, m, alpha) are all threshold."""
-    return bool(threshold_dominance_report(n, m, alpha, threads=threads).matches_theorem)
+    return bool(threshold_dominance_report(n, m, alpha).matches_theorem)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +441,8 @@ def audit(g: ThresholdGraph, r: int) -> ExtremalAudit:
     if r < 1:
         raise ValueError("audit requires r >= 1")
     n = g.n
-    labeled = to_labeled(g)
-    rows = labeled.bitrows()
-    degrees = labeled.degrees()  # already non-increasing in stepwise order
+    rows = g.stepwise_rows
+    degrees = g.degree_sequence()  # non-increasing, as in stepwise order
 
     complete = g.m == n * (n - 1) // 2
     kappa = 0

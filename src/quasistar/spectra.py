@@ -6,23 +6,24 @@ interest is
     M_alpha(G) = alpha * D(G) + (1 - alpha) * A(G),
 
 which interpolates between the adjacency matrix (alpha = 0) and half the
-signless Laplacian Q(G) = D(G) + A(G) (alpha = 1/2).  ``spectral_radius``
-returns the largest eigenvalue together with a nonnegative unit eigenvector
-(strictly positive on connected graphs).
+signless Laplacian Q(G) = D(G) + A(G) (alpha = 1/2).  alpha stays an exact
+``fractions.Fraction`` until matrix assembly so that alpha == 1/2 is exact.
 
-alpha stays an exact ``fractions.Fraction`` until matrix assembly so that
-equality tests such as alpha == 1/2 are exact.  The eigenpair is computed by
-power iteration on M_alpha + sigma*I with a deterministic all-ones start
-vector; sigma is the largest diagonal entry, bumped to 1 when that is zero
-(alpha = 0), since the plain adjacency matrix of a bipartite graph has -rho in
-its spectrum and the unshifted iteration would not converge.  Convergence
-requires both a Rayleigh-quotient stall below 1e-13 and an infinity-norm
-eigen-residual below 1e-11, and disconnected inputs are solved per component.
+Dominant eigenpairs come from LAPACK's ``numpy.linalg.eigh``.  General graphs
+are solved densely per connected component.  Threshold graphs are solved on
+their run quotient: maximal runs of equal creation symbols (the first vertex
+joins the second's run; a trailing ``I`` run is split off as isolated
+vertices) are twin classes, hence an equitable partition, so rho is the top
+eigenvalue of the symmetrised quotient and the Perron vector is constant on
+each run.  Every pair is certified: the vector's sign makes its sum positive,
+no entry may be negative beyond rounding, and the infinity-norm residual of
+the full n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for
+threshold graphs by an O(n) prefix-sum product, since stepwise neighborhoods
+are prefixes).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,11 +31,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .graphs import LabeledGraph, ThresholdGraph, is_threshold, to_labeled
+from .graphs import DOMINATING, ISOLATED, LabeledGraph, ThresholdGraph, is_threshold
 
+#: Bound on the infinity-norm eigen-residual of a returned pair, and on the
+#: rounding allowed below zero in its Perron entries.
 RESIDUAL_TOL = 1e-11
-RQ_TOL = 1e-13
-MAX_ITERATIONS = 10**6
 
 #: Absolute tolerance when comparing spectral radii of two different graphs.
 RHO_COMPARE_TOL = 1e-9
@@ -43,12 +44,12 @@ HALF = Fraction(1, 2)
 
 
 class NonConvergenceError(RuntimeError):
-    """Power iteration hit its iteration cap; carries the last residual."""
+    """An eigenpair failed its certificate; carries the residual (``iterations`` is 0)."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float, iterations: int = 0, detail: str = ""):
         super().__init__(
-            f"power iteration did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"eigensolver did not converge: residual {residual:.3e} "
+            f"(bound {RESIDUAL_TOL:.0e}){detail}"
         )
         self.residual = residual
         self.iterations = iterations
@@ -87,8 +88,10 @@ def alpha_matrix(g: LabeledGraph, alpha) -> np.ndarray:
 class Spectrum:
     """Dominant eigenpair of one (graph, alpha) pair plus solver diagnostics.
 
-    ``perron`` has unit Euclidean norm and nonnegative entries; on a
-    disconnected graph it is supported on the component attaining the radius.
+    ``perron`` has unit Euclidean norm and entries that are nonnegative up to
+    rounding; on a disconnected graph it is supported on the component
+    attaining the radius.  ``residual`` is the certified infinity-norm
+    eigen-residual.  ``iterations`` is 0: the direct solver does not iterate.
     """
 
     rho: float
@@ -97,80 +100,45 @@ class Spectrum:
     residual: float
 
 
-def _power_dominant(mat: np.ndarray, residual_tol: float, rq_tol: float, max_iter: int):
-    """Largest eigenvalue of a nonnegative matrix with positive diagonal shift.
-
-    Returns (eigenvalue, unit vector, iterations, residual) where the residual
-    is the infinity norm of mat@x - lam*x for the returned pair.
-    """
-    n = mat.shape[0]
-    x = np.full(n, 1.0 / math.sqrt(n))
-    lam_prev = math.inf
-    lam = 0.0
-    resid = math.inf
-    for it in range(1, max_iter + 1):
-        y = mat @ x
-        lam = float(x @ y)
-        resid = float(np.max(np.abs(y - lam * x)))
-        if resid <= residual_tol and abs(lam - lam_prev) <= rq_tol * max(1.0, abs(lam)):
-            return lam, x, it, resid
-        lam_prev = lam
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            # Zero matrix block: every vector is an eigenvector for 0.
-            return 0.0, x, it, 0.0
-        x = y / norm
-    raise NonConvergenceError(resid, max_iter)
+def _top_eigenpair(mat: np.ndarray):
+    """Largest eigenvalue of a symmetric matrix and its eigenvector, sum >= 0."""
+    vals, vecs = np.linalg.eigh(mat)
+    vec = vecs[:, -1]
+    return float(vals[-1]), (vec if vec.sum() >= 0.0 else -vec)
 
 
-def spectral_radius(
-    g: LabeledGraph,
-    alpha,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    rq_tol: float = RQ_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> Spectrum:
-    """Spectral radius and Perron vector of M_alpha(g).
+def _certified(rho: float, perron: np.ndarray, residual: float) -> Spectrum:
+    """Gate an eigenpair on its residual and on the sign of its entries."""
+    if not residual <= RESIDUAL_TOL:
+        raise NonConvergenceError(residual)
+    low = float(perron.min())
+    if low < -RESIDUAL_TOL:
+        raise NonConvergenceError(residual, detail=f"; Perron entry {low:.3e} is negative")
+    perron.setflags(write=False)
+    return Spectrum(rho=rho, perron=perron, iterations=0, residual=residual)
+
+
+def spectral_radius(g: LabeledGraph, alpha) -> Spectrum:
+    """Spectral radius and Perron vector of M_alpha(g), by dense ``eigh``.
 
     Disconnected graphs are solved component by component and the radius is
     the maximum over components (ties go to the component containing the
     smallest vertex, which still yields a genuine eigenvector).
     """
-    alpha = as_alpha(alpha)
-    a = float(alpha)
-    deg = g.degrees()
-    nbrs = g.neighbor_sets()
-
-    best = None  # (rho, component, unit vector, residual)
-    total_iters = 0
+    mat = alpha_matrix(g, alpha)
+    best = None  # (rho, component indices, unit vector, residual)
     for comp in g.components():
-        if len(comp) == 1:
-            rho_c, vec_c, res_c = 0.0, np.array([1.0]), 0.0
-        else:
-            idx = {v: i for i, v in enumerate(comp)}
-            size = len(comp)
-            sub = np.zeros((size, size))
-            for v in comp:
-                sub[idx[v], idx[v]] = a * deg[v - 1]
-                for w in nbrs[v]:
-                    sub[idx[v], idx[w]] = 1.0 - a
-            sigma = float(np.max(np.diag(sub)))
-            if sigma <= 0.0:
-                sigma = 1.0  # keeps the shifted matrix primitive at alpha = 0
-            shifted = sub + sigma * np.eye(size)
-            lam, vec_c, iters, res_c = _power_dominant(shifted, residual_tol, rq_tol, max_iter)
-            rho_c = lam - sigma
-            total_iters += iters
+        idx = np.array(comp) - 1
+        sub = mat[np.ix_(idx, idx)]
+        rho_c, vec_c = _top_eigenpair(sub)
+        res_c = float(np.max(np.abs(sub @ vec_c - rho_c * vec_c)))
         if best is None or rho_c > best[0]:
-            best = (rho_c, comp, vec_c, res_c)
+            best = (rho_c, idx, vec_c, res_c)
 
-    rho, comp, vec, resid = best
+    rho, idx, vec, resid = best
     perron = np.zeros(g.n)
-    for i, v in enumerate(comp):
-        perron[v - 1] = max(vec[i], 0.0)
-    perron.setflags(write=False)
-    return Spectrum(rho=rho, perron=perron, iterations=total_iters, residual=resid)
+    perron[idx] = vec
+    return _certified(rho, perron, resid)
 
 
 def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
@@ -180,7 +148,51 @@ def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
 
 @lru_cache(maxsize=None)
 def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
-    return spectral_radius(to_labeled(g), alpha)
+    """Twin-class quotient solve, lifted to stepwise labels and certified.
+
+    For runs i < j of sizes n_i, n_j the symmetrised quotient has
+    S_ii = a*deg_i + (1-a)(n_i - 1)[run i is D] and
+    S_ij = (1-a) sqrt(n_i n_j) [run j is D].
+    """
+    a = float(alpha)
+    runs = []  # [symbol, size] over vertices 2..n
+    for sym in g.creation[1:]:
+        if runs and runs[-1][0] == sym:
+            runs[-1][1] += 1
+        else:
+            runs.append([sym, 1])
+    isolated = runs.pop()[1] if runs and runs[-1][0] == ISOLATED else 0
+    if not runs:  # edgeless: every vertex is its own component with radius 0
+        perron = np.zeros(g.n)
+        perron[0] = 1.0
+        return _certified(0.0, perron, 0.0)
+    runs[0][1] += 1  # the first vertex is a twin of the second
+
+    size = np.array([count for _, count in runs], dtype=float)
+    dom = np.array([sym == DOMINATING for sym, _ in runs])
+    dom_size = size * dom
+    deg = dom * (np.cumsum(size) - 1.0) + dom_size.sum() - np.cumsum(dom_size)
+    pos = np.arange(len(runs))
+    adj = dom[np.maximum.outer(pos, pos)]  # the diagonal is overwritten below
+    root = np.sqrt(size)
+    quotient = (1.0 - a) * adj * np.outer(root, root)
+    quotient[pos, pos] = a * deg + (1.0 - a) * dom * (size - 1.0)
+    rho, u = _top_eigenpair(quotient)
+
+    # Stepwise labels sort vertices by descending degree; twins share a degree.
+    order = np.argsort(-deg, kind="stable")
+    counts = size[order].astype(int)
+    x = np.concatenate((np.repeat((u / root)[order], counts), np.zeros(isolated)))
+    d = np.concatenate((np.repeat(deg[order], counts), np.zeros(isolated)))
+    # Checked against g itself, so the product below certifies g, not the runs.
+    if not np.array_equal(d, g.degree_sequence()):
+        raise ArithmeticError(f"run quotient degrees disagree with {g.text}")
+    # Stepwise neighborhoods: N(v) = {1..d_v} if v > d_v, else {1..d_v+1} minus v.
+    own = np.arange(1, g.n + 1) <= d
+    prefix = np.concatenate(([0.0], np.cumsum(x)))
+    ax = prefix[d.astype(int) + own] - own * x
+    residual = float(np.max(np.abs(a * d * x + (1.0 - a) * ax - rho * x)))
+    return _certified(rho, x, residual)
 
 
 def rho_of(g, alpha) -> float:

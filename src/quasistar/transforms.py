@@ -156,7 +156,7 @@ def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult:
         raise ValueError(f"index p={spec.p} out of range for n={g.n}")
     if not g.is_connected:
         return _fail("host graph is not connected")
-    rows = to_labeled(g).bitrows()
+    rows = g.stepwise_rows
     p, q, h, k, l = spec.p, spec.q, spec.h, spec.k, spec.l
 
     if spec.kind == "BASIC":

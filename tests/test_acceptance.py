@@ -7,7 +7,6 @@ quotient/full eigenvalue agreement.
 """
 
 import itertools
-import os
 import time
 from fractions import Fraction
 
@@ -45,7 +44,6 @@ SWEEP_ALPHAS = (HALF, Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
 RHO_TOL = 1e-9
 MONO_SLACK = 1e-10
 EQ_TOL = 1e-8
-THREADS = min(4, os.cpu_count() or 1)
 
 
 def announce(number: int, ok: bool, detail: str) -> None:
@@ -89,7 +87,7 @@ def test_criterion_1_sparse_band():
 
 def test_criterion_2_all_graphs_2n2():
     start = time.perf_counter()
-    reports = verify_all_graphs_2n2(range(4, 17), threads=THREADS)
+    reports = verify_all_graphs_2n2(range(4, 17))
     bad = [r for r in reports if not r.matches_theorem]
     at6 = next(r for r in reports if r.family.n == 6)
     elapsed = time.perf_counter() - start
@@ -108,7 +106,7 @@ def test_criterion_2_all_graphs_2n2():
 
 def test_criterion_3_band_r3_n24():
     start = time.perf_counter()
-    reports = verify_clique_band(3, 24, [HALF, Fraction(3, 4)], threads=THREADS)
+    reports = verify_clique_band(3, 24, [HALF, Fraction(3, 4)])
     bad = [r for r in reports if not r.matches_theorem]
     ties = [r for r in reports if len(r.maximizer_set) == 2]
     elapsed = time.perf_counter() - start

@@ -110,6 +110,12 @@ def test_stepwise_property_all_n7():
         assert all(degs[i] >= degs[i + 1] for i in range(lab.n - 1))
 
 
+def test_stepwise_rows_match_labeled_bitrows():
+    for n in range(1, 10):
+        for g in all_creation_sequences(n):
+            assert list(g.stepwise_rows) == to_labeled(g).bitrows()
+
+
 def test_is_stepwise_rejects_bad_labelings():
     # Path 1-2-3 labeled with the center last is not stepwise.
     assert not is_stepwise(LabeledGraph.from_edges(3, [(1, 3), (2, 3)]))

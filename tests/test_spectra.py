@@ -14,7 +14,9 @@ from quasistar.graphs import (
     quasi_star,
     to_labeled,
 )
+from quasistar import spectra
 from quasistar.spectra import (
+    RESIDUAL_TOL,
     NonConvergenceError,
     alpha_matrix,
     as_alpha,
@@ -160,12 +162,71 @@ def test_adding_edges_never_decreases_radius():
             assert spectral_radius(bigger, alpha).rho >= spectral_radius(g, alpha).rho - 1e-10
 
 
-def test_nonconvergence_reports_residual():
-    g = to_labeled(quasi_star(6, 10))
-    with pytest.raises(NonConvergenceError) as err:
-        spectral_radius(g, HALF, max_iter=2)
-    assert err.value.residual > 0
-    assert err.value.iterations == 2
+def _perturbed_eigh(monkeypatch, shift):
+    """Make numpy's eigh report every eigenvalue off by ``shift``."""
+    exact = np.linalg.eigh
+
+    def perturbed(mat):
+        vals, vecs = exact(mat)
+        return vals + shift, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+
+def test_nonconvergence_reports_residual(monkeypatch):
+    g = quasi_star(6, 10)
+    alpha = Fraction(7, 13)  # exceptions are never cached; no other test uses it
+    x_dense = spectral_radius(to_labeled(g), alpha).perron
+    _perturbed_eigh(monkeypatch, 1e-6)
+    with pytest.raises(NonConvergenceError, match="did not converge") as dense:
+        spectral_radius(to_labeled(g), alpha)
+    with pytest.raises(NonConvergenceError, match="did not converge") as quotient:
+        threshold_spectrum(g, alpha)
+    # The residual of (rho + shift, x) is shift * max|x|.
+    for err in (dense, quotient):
+        assert err.value.residual > RESIDUAL_TOL
+        assert err.value.residual == pytest.approx(1e-6 * float(np.max(x_dense)), rel=1e-6)
+
+
+def test_perron_sign_is_normalised(monkeypatch):
+    g = to_labeled(quasi_star(7, 12))
+    expect = spectral_radius(g, Fraction(3, 4)).perron
+    exact = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: (exact(mat)[0], -exact(mat)[1]))
+    got = spectral_radius(g, Fraction(3, 4)).perron
+    assert np.all(got > 0)
+    assert np.allclose(got, expect, atol=1e-12)
+
+
+def test_quotient_degrees_are_checked_against_the_graph(monkeypatch):
+    g = quasi_star(6, 10)
+    wrong = (5, 4, 4, 3, 2, 2)  # sums to 2m but is not the degree sequence (5, 5, 3, 3, 2, 2)
+    monkeypatch.setattr(type(g), "degree_sequence", lambda self: wrong)
+    with pytest.raises(ArithmeticError, match="disagree"):
+        threshold_spectrum(g, Fraction(5, 13))  # no other test uses this alpha
+
+
+def test_negative_perron_entry_is_an_error():
+    with pytest.raises(NonConvergenceError, match="negative"):
+        spectra._certified(1.0, np.array([0.8, -0.6]), 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_quotient_kernel_matches_dense_eigh(n):
+    # Every threshold graph: connected, with isolated vertices, and edgeless.
+    for g in all_threshold(n):
+        for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10)):
+            mat = alpha_matrix(to_labeled(g), alpha)
+            vals, vecs = np.linalg.eigh(mat)
+            spec = threshold_spectrum(g, alpha)
+            assert abs(spec.rho - vals[-1]) <= 1e-12
+            assert spec.residual <= 1e-10
+            assert np.max(np.abs(mat @ spec.perron - spec.rho * spec.perron)) <= 1e-10
+            if g.m == 0:
+                assert spec.rho == 0.0 and spec.perron[0] == 1.0
+                continue
+            top = vecs[:, -1] if vecs[:, -1].sum() > 0 else -vecs[:, -1]
+            assert np.max(np.abs(spec.perron - top)) <= 1e-9
 
 
 def test_threshold_spectrum_cache_consistency():
