@@ -39,7 +39,6 @@ from .search import (
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
-    verify_threshold_dominance,
 )
 from .spectra import (
     NonConvergenceError,
@@ -63,7 +62,6 @@ from .transforms import (
     apply_transform,
     candidate_specs,
     certify,
-    eq12_residuals,
     validate,
 )
 

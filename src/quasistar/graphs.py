@@ -11,8 +11,10 @@ equal iff their sequences are equal.
 
 Under a degree-descending vertex numbering the adjacency matrix of a threshold
 graph is *stepwise*: a_hk = 1 with h > k forces a_ij = 1 for all j < i <= h,
-j <= k.  ``to_labeled`` produces exactly that numbering, which the rewiring
-module relies on.
+j <= k.  ``ThresholdGraph.stepwise_rows`` is the one definition of that
+numbering: adjacency bitmasks computed from the degree sequence.
+``to_labeled`` reads its edge set off those rows, and the rewiring module
+validates moves on them and applies moves to the degrees in that order.
 
 Families provided here, for n vertices and m edges:
 
@@ -97,10 +99,11 @@ class ThresholdGraph:
 
     @cached_property
     def stepwise_rows(self) -> tuple[int, ...]:
-        """Adjacency bitmasks in stepwise labels, equal to ``to_labeled(g).bitrows()``.
+        """Adjacency bitmasks in stepwise labels; index 0 is unused.
 
-        In the degree-descending order every neighborhood is a prefix: vertex v
-        of degree d is adjacent to 1..d, or to 1..d+1 except itself when v <= d.
+        The stepwise order lists vertices by descending degree, and in it every
+        neighborhood is a prefix: vertex v of degree d is adjacent to 1..d, or
+        to 1..d+1 except itself when v <= d.
         """
         rows = [0]
         for v, d in enumerate(self.degree_sequence(), start=1):
@@ -209,20 +212,15 @@ def parse_creation(text: str) -> ThresholdGraph:
 
 
 def to_labeled(g: ThresholdGraph) -> LabeledGraph:
-    """Relabel in degree-descending order (ties: later-added vertex first).
+    """Relabel in degree-descending order, read off ``g.stepwise_rows``.
 
-    The resulting adjacency matrix is stepwise, and the numbering is fixed so
-    outputs are reproducible bit for bit.
+    The resulting adjacency matrix is stepwise.  Vertices of equal degree are
+    twins, so the edge set does not depend on how ties are ordered.
     """
-    deg = g.creation_degrees()
-    order = sorted(range(g.n), key=lambda i: (-deg[i], -i))
-    rank = {pos: r + 1 for r, pos in enumerate(order)}
-    edges = []
-    for i, sym in enumerate(g.creation):
-        if sym == DOMINATING:
-            for j in range(i):
-                edges.append((rank[i], rank[j]))
-    return LabeledGraph.from_edges(g.n, edges)
+    rows = g.stepwise_rows
+    return LabeledGraph.from_edges(
+        g.n, ((u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if rows[u] >> v & 1)
+    )
 
 
 def creation_from_labeled(g: LabeledGraph) -> tuple[str, ...]:

@@ -404,11 +404,6 @@ def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
     )
 
 
-def verify_threshold_dominance(n: int, m: int, alpha) -> bool:
-    """True iff the connected maximizers at (n, m, alpha) are all threshold."""
-    return bool(threshold_dominance_report(n, m, alpha).matches_theorem)
-
-
 # ---------------------------------------------------------------------------
 # Structural audit of a connected threshold host
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -44,15 +43,14 @@ HALF = Fraction(1, 2)
 
 
 class NonConvergenceError(RuntimeError):
-    """An eigenpair failed its certificate; carries the residual (``iterations`` is 0)."""
+    """An eigenpair failed its certificate; carries the residual."""
 
-    def __init__(self, residual: float, iterations: int = 0, detail: str = ""):
+    def __init__(self, residual: float, detail: str = ""):
         super().__init__(
             f"eigensolver did not converge: residual {residual:.3e} "
             f"(bound {RESIDUAL_TOL:.0e}){detail}"
         )
         self.residual = residual
-        self.iterations = iterations
 
 
 def as_alpha(value) -> Fraction:
@@ -296,8 +294,9 @@ def quotient_matrix(matrix, partition) -> QuotientMatrix:
 def char_poly(matrix) -> list[Fraction]:
     """Monic characteristic polynomial det(xI - M), descending coefficients.
 
-    Uses exact Fraction arithmetic via the permutation expansion, so integral
-    inputs give exact integer coefficients.  Limited to size <= 6.
+    Faddeev-LeVerrier recursion in exact Fraction arithmetic, so integral
+    inputs give exact integer coefficients, at any size: with M_0 = 0,
+    M_j = M M_{j-1} + c_{j-1} I and c_j = -tr(M M_j) / j.
     """
     if isinstance(matrix, QuotientMatrix):
         rows = [list(row) for row in matrix.entries]
@@ -306,26 +305,13 @@ def char_poly(matrix) -> list[Fraction]:
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise ValueError("matrix must be square and non-empty")
-    if k > 6:
-        raise ValueError(f"exact expansion limited to size <= 6, got {k}")
 
-    # Polynomials as ascending coefficient lists of Fractions.
-    total = [Fraction(0)] * (k + 1)
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        prod = [Fraction(1)]
-        for i in range(k):
-            j = perm[i]
-            if i == j:
-                factor = [-rows[i][j], Fraction(1)]  # (x - M_ii)
-            else:
-                factor = [-rows[i][j]]
-            prod = _poly_mul(prod, factor)
-        for d, c in enumerate(prod):
-            total[d] += sign * c
-    total = total[: k + 1]
-    coeffs = list(reversed(total))
-    assert coeffs[0] == 1
+    coeffs = [Fraction(1)]
+    acc = [[Fraction(0)] * k for _ in range(k)]  # M_0
+    for j in range(1, k + 1):
+        acc = [[sum(rows[i][t] * acc[t][c] for t in range(k)) + (coeffs[-1] if i == c else 0)
+                for c in range(k)] for i in range(k)]
+        coeffs.append(-sum(rows[i][t] * acc[t][i] for i in range(k) for t in range(k)) / j)
     return coeffs
 
 
@@ -335,31 +321,6 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     return Fraction(float(x))
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def largest_real_root(coeffs) -> float:

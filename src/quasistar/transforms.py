@@ -1,8 +1,9 @@
 """Radius-increasing edge rewirings on connected threshold graphs.
 
 All three rewirings are described by positions in the stepwise adjacency
-matrix produced by :func:`quasistar.graphs.to_labeled` (vertices sorted by
-descending degree).  With indices p > h > k > q and width l >= 0:
+matrix (vertices sorted by descending degree, as in
+``ThresholdGraph.stepwise_rows``).  With indices p > h > k > q and width
+l >= 0:
 
 * ``BASIC (p, q; h, k)``           removes the staircase corner edge (h, k)
   and fills the vacant corner (p, q).
@@ -15,6 +16,13 @@ Validation checks the adjacency pattern that makes the move well-formed (the
 removed cells are the tip of their row/column, the filled cells are the first
 vacancies of theirs), which also guarantees the result is again a threshold
 graph with the same vertex and edge counts.
+
+A move never touches an edge set.  ``validate`` reads the host's stepwise
+bitmask rows; the move then subtracts 1 from the degrees at both ends of each
+removed cell and adds 1 at both ends of each filled cell, and
+``from_degree_sequence`` turns the sorted result into the canonical creation
+sequence (a threshold degree sequence has exactly one realization).  Both
+``apply_transform`` and ``certify`` go through that one step.
 
 For alpha >= 1/2 and k = q+1 the rewiring never decreases the spectral radius
 of alpha*D + (1-alpha)*A, with equality exactly when alpha = 1/2, l = 0 and
@@ -31,12 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import (
-    LabeledGraph,
-    ThresholdGraph,
-    threshold_from_labeled,
-    to_labeled,
-)
+from .graphs import ThresholdGraph, from_degree_sequence
 from .spectra import HALF, RHO_COMPARE_TOL, as_alpha, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
@@ -208,20 +211,26 @@ def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult:
     return ValidationResult(True)
 
 
-def _transformed_labeled(stepwise: LabeledGraph, spec: TransformSpec) -> LabeledGraph:
-    """Apply the rewiring to the stepwise labeling; labels are preserved."""
-    edges = set(stepwise.edges)
-    for u, v in spec.removals():
-        edge = (u, v) if u < v else (v, u)
-        if edge not in edges:
-            raise InvalidTransformError(f"edge {edge} to remove is absent")
-        edges.remove(edge)
-    for u, v in spec.additions():
-        edge = (u, v) if u < v else (v, u)
-        if edge in edges:
-            raise InvalidTransformError(f"edge {edge} to add already exists")
-        edges.add(edge)
-    return LabeledGraph.from_edges(stepwise.n, edges)
+def _rewire(g: ThresholdGraph, spec: TransformSpec) -> tuple[list[int], ThresholdGraph]:
+    """Validate, then move the spec's cells on g's stepwise degrees.
+
+    Returns the rewired degrees on the host's labels (index v-1 is vertex v)
+    and the canonical result.  A valid move keeps the graph threshold, and a
+    threshold degree sequence has exactly one realization, so the degrees fix
+    the result; ``from_degree_sequence`` raises NotThresholdError should a
+    move ever leave the class.
+    """
+    check = validate(g, spec)
+    if not check:
+        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {check.reason}")
+    deg = list(g.degree_sequence())
+    for cells, step in ((spec.removals(), -1), (spec.additions(), 1)):
+        for u, v in cells:
+            deg[u - 1] += step
+            deg[v - 1] += step
+    after = from_degree_sequence(sorted(deg, reverse=True))
+    assert after.n == g.n and after.m == g.m
+    return deg, after
 
 
 def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
@@ -230,12 +239,7 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
     Refuses to apply when validation fails.  The result always has the same
     vertex and edge counts and is again a threshold graph.
     """
-    check = validate(g, spec)
-    if not check:
-        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {check.reason}")
-    after = threshold_from_labeled(_transformed_labeled(to_labeled(g), spec))
-    assert after.n == g.n and after.m == g.m
-    return after
+    return _rewire(g, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,47 +295,6 @@ def eq2_residual(rho2: float, y, spec: TransformSpec, alpha) -> float:
     return abs(lhs - rhs)
 
 
-def _perron_on_labels(labeled: LabeledGraph, canonical: ThresholdGraph, alpha: Fraction) -> np.ndarray:
-    """Perron vector of `labeled` read off the cached canonical spectrum.
-
-    In a threshold graph equal degrees force equal Perron entries, so the
-    entry at a vertex only depends on its degree rank; mapping by rank avoids
-    re-solving the same eigensystem under a different labeling.
-    """
-    z = threshold_spectrum(canonical, alpha).perron
-    deg = labeled.degrees()
-    assert tuple(sorted(deg, reverse=True)) == canonical.degree_sequence()
-    order = sorted(range(1, labeled.n + 1), key=lambda v: (-deg[v - 1], v))
-    y = np.empty(labeled.n)
-    for pos, v in enumerate(order):
-        y[v - 1] = z[pos]
-    return y
-
-
-def eq12_residuals(g: ThresholdGraph, g_after: ThresholdGraph, spec: TransformSpec, alpha):
-    """Residuals (r1, r2) of the two identities for a host/result pair.
-
-    ``g_after`` must be the rewiring result for (g, spec); both graphs must be
-    connected.
-    """
-    alpha = as_alpha(alpha)
-    check = validate(g, spec)
-    if not check:
-        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {check.reason}")
-    if not g_after.is_connected:
-        raise ValueError("rewired graph must be connected")
-    before = to_labeled(g)
-    labeled_after = _transformed_labeled(before, spec)
-    if threshold_from_labeled(labeled_after) != g_after:
-        raise ValueError("g_after is not the result of applying spec to g")
-    spec_before = threshold_spectrum(g, alpha)
-    spec_after = threshold_spectrum(g_after, alpha)
-    y = _perron_on_labels(labeled_after, g_after, alpha)
-    r1 = eq1_residual(spec_before.rho, spec_before.perron, spec, float(alpha))
-    r2 = eq2_residual(spec_after.rho, y, spec, float(alpha))
-    return r1, r2
-
-
 # ---------------------------------------------------------------------------
 # Monotonicity certificates
 # ---------------------------------------------------------------------------
@@ -369,13 +332,7 @@ class MonotonicityCertificate:
 def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertificate:
     """Apply the rewiring and certify the spectral-radius comparison."""
     alpha = as_alpha(alpha)
-    check = validate(g, spec)
-    if not check:
-        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {check.reason}")
-    before = to_labeled(g)
-    labeled_after = _transformed_labeled(before, spec)
-    g_after = threshold_from_labeled(labeled_after)
-
+    deg, g_after = _rewire(g, spec)
     spec_before = threshold_spectrum(g, alpha)
     spec_after = threshold_spectrum(g_after, alpha)
     rho1, rho2 = spec_before.rho, spec_after.rho
@@ -390,7 +347,10 @@ def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertif
     else:
         covered, rule, predicted = False, RULE_NONE, None
 
-    y = _perron_on_labels(labeled_after, g_after, alpha)
+    # Equal degrees in a threshold graph are twins with equal Perron entries,
+    # so the stepwise vector of g_after lands on host labels by degree rank.
+    y = np.empty(g.n)
+    y[np.argsort(-np.array(deg), kind="stable")] = spec_after.perron
     r1 = eq1_residual(rho1, spec_before.perron, spec, float(alpha))
     r2 = eq2_residual(rho2, y, spec, float(alpha))
 

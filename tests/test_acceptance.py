@@ -23,10 +23,10 @@ from quasistar.search import (
     ALL,
     FamilySpec,
     enumerate_all,
+    threshold_dominance_report,
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
-    verify_threshold_dominance,
 )
 from quasistar.spectra import (
     char_poly,
@@ -248,7 +248,7 @@ def test_criterion_6_threshold_dominance():
     for n in range(2, 8):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
             for alpha in (Fraction(0), HALF, Fraction(3, 4)):
-                assert verify_threshold_dominance(n, m, alpha), (n, m, alpha)
+                assert threshold_dominance_report(n, m, alpha).matches_theorem, (n, m, alpha)
                 checks += 1
     elapsed = time.perf_counter() - start
     announce(6, True, f"{checks} (n, m, alpha) equivalence checks up to n=7, {elapsed:.1f}s")

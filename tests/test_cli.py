@@ -93,7 +93,7 @@ def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch):
     from quasistar.spectra import NonConvergenceError
 
     def explode(*args, **kwargs):
-        raise NonConvergenceError(residual=1e-3, iterations=10)
+        raise NonConvergenceError(residual=1e-3)
 
     monkeypatch.setattr(cli, "spectral_radius", explode)
     code, _, err = run(capsys, "rho", "IDD", "1/2")

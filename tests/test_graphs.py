@@ -110,10 +110,24 @@ def test_stepwise_property_all_n7():
         assert all(degs[i] >= degs[i + 1] for i in range(lab.n - 1))
 
 
+def creation_index_labeling(g):
+    """Reference stepwise labeling: creation steps sorted by (-degree, -index)."""
+    deg = g.creation_degrees()
+    order = sorted(range(g.n), key=lambda i: (-deg[i], -i))
+    rank = {pos: r + 1 for r, pos in enumerate(order)}
+    edges = []
+    for i, sym in enumerate(g.creation):
+        if sym == DOMINATING:
+            edges.extend((rank[i], rank[j]) for j in range(i))
+    return LabeledGraph.from_edges(g.n, edges)
+
+
 def test_stepwise_rows_match_labeled_bitrows():
     for n in range(1, 10):
         for g in all_creation_sequences(n):
-            assert list(g.stepwise_rows) == to_labeled(g).bitrows()
+            reference = creation_index_labeling(g)
+            assert list(g.stepwise_rows) == reference.bitrows()
+            assert to_labeled(g) == reference
 
 
 def test_is_stepwise_rejects_bad_labelings():

@@ -27,7 +27,6 @@ from quasistar.search import (
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
-    verify_threshold_dominance,
 )
 
 HALF = Fraction(1, 2)
@@ -236,17 +235,17 @@ def test_verify_clique_band_flags_small_n():
 
 
 def test_threshold_dominance_examples():
-    assert verify_threshold_dominance(4, 3, 0)
+    assert threshold_dominance_report(4, 3, 0).matches_theorem
     report = threshold_dominance_report(4, 3, 0)
     assert report.maximizer_set == ("12.13.14",)  # the star, not the path
     assert report.rho_max == pytest.approx(3 ** 0.5, abs=1e-9)
-    assert verify_threshold_dominance(6, 10, HALF)
+    assert threshold_dominance_report(6, 10, HALF).matches_theorem
 
 
 def test_threshold_dominance_all_m_n5():
     for m in range(4, 11):
         for alpha in (Fraction(0), HALF, Fraction(3, 4)):
-            assert verify_threshold_dominance(5, m, alpha)
+            assert threshold_dominance_report(5, m, alpha).matches_theorem
 
 
 # ---------------------------------------------------------------------------

@@ -330,10 +330,9 @@ def test_char_poly_2n_minus_1_coefficients():
         assert char_poly(mat) == [1, -n - 9, 7 * n + 28, -10 * n - 64, 72]
 
 
-def test_char_poly_1x1_and_size_cap():
+def test_char_poly_1x1_and_7x7():
     assert char_poly([[Fraction(7, 2)]]) == [1, Fraction(-7, 2)]
-    with pytest.raises(ValueError):
-        char_poly(np.zeros((7, 7)))
+    assert char_poly(np.zeros((7, 7))) == [1] + [0] * 7
 
 
 def test_largest_real_root_matches_eigenvalue():

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from quasistar.graphs import (
+    LabeledGraph,
     from_creation_sequence,
     from_degree_sequence,
     is_threshold,
     l_graph,
     quasi_star,
+    threshold_from_labeled,
     to_labeled,
 )
-from quasistar.spectra import threshold_spectrum
+from quasistar.spectra import spectral_radius, threshold_spectrum
 from quasistar.transforms import (
     InvalidTransformError,
     TransformSpec,
@@ -22,7 +24,6 @@ from quasistar.transforms import (
     candidate_specs,
     certify,
     eq1_residual,
-    eq12_residuals,
     validate,
 )
 
@@ -171,6 +172,36 @@ def test_apply_preserves_counts_and_thresholdness():
 
 
 # ---------------------------------------------------------------------------
+# Reference: the same moves on the edge set of the stepwise labeling
+# ---------------------------------------------------------------------------
+
+def rewired_labeled(g, spec):
+    """The rewiring applied cell by cell to the edges of ``to_labeled(g)``."""
+    host = to_labeled(g)
+    edges = set(host.edges)
+    for u, v in spec.removals():
+        assert host.has_edge(u, v), (g.text, spec.text, "removed cell is not an edge")
+        edges.remove((min(u, v), max(u, v)))
+    for u, v in spec.additions():
+        assert not host.has_edge(u, v), (g.text, spec.text, "added cell is already an edge")
+        edges.add((min(u, v), max(u, v)))
+    return LabeledGraph.from_edges(g.n, edges)
+
+
+def test_degree_step_matches_edge_level_rewiring():
+    seen = 0
+    for dk in (1, 2):
+        for g, spec in valid_instances(9, dk=dk):
+            rewired = rewired_labeled(g, spec)
+            assert threshold_from_labeled(rewired) == apply_transform(g, spec)
+            for alpha in (HALF, Fraction(3, 4)):
+                cert = certify(g, spec, alpha)
+                assert abs(cert.rho_after - spectral_radius(rewired, alpha).rho) <= 1e-12
+            seen += 1
+    assert seen >= 600
+
+
+# ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
 
@@ -236,10 +267,9 @@ def test_identity_residuals_small_for_every_alpha():
     # The identities hold for all alpha in [0, 1), including alpha = 0.
     count = 0
     for g, spec in itertools.islice(valid_instances(8, kinds=("BASIC",)), 60):
-        out = apply_transform(g, spec)
         for alpha in (Fraction(0), Fraction(1, 3), HALF, Fraction(9, 10)):
-            r1, r2 = eq12_residuals(g, out, spec, alpha)
-            assert r1 <= 1e-8 and r2 <= 1e-8
+            cert = certify(g, spec, alpha)
+            assert cert.residual_eq1 <= 1e-8 and cert.residual_eq2 <= 1e-8
         count += 1
     assert count >= 20
 
@@ -260,12 +290,3 @@ def test_perturbed_vector_breaks_identity():
         assert moved == pytest.approx(eps * slope, rel=1e-4, abs=1e-9)
         assert moved > 100 * base
 
-
-def test_eq12_residuals_validates_inputs():
-    host = l_graph(7, 12)
-    spec = TransformSpec("ROW", 7, 2, 5, 3, 1)
-    wrong = quasi_star(7, 11)
-    with pytest.raises(ValueError):
-        eq12_residuals(host, wrong, spec, HALF)
-    with pytest.raises(InvalidTransformError):
-        eq12_residuals(quasi_star(7, 12), quasi_star(7, 12), spec, HALF)
