@@ -13,7 +13,6 @@ from .graphs import (
     NotThresholdError,
     SplitParams,
     ThresholdGraph,
-    ferrers_matrix,
     from_creation_sequence,
     from_degree_sequence,
     graph_join,

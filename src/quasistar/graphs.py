@@ -16,6 +16,15 @@ numbering: adjacency bitmasks computed from the degree sequence.
 ``to_labeled`` reads its edge set off those rows, and the rewiring module
 validates moves on them and applies moves to the degrees in that order.
 
+Recognition is one test on degrees.  A threshold degree sequence has exactly
+one realization (threshold sequences are unigraphic; Mahadev-Peled, *Threshold
+Graphs and Related Topics*, ch. 1): a vertex whose degree is one less than the
+number of vertices left is dominating in every realization, and a vertex of
+degree 0 is isolated in every one.  So a labeled graph is threshold exactly
+when its sorted degrees peel, and the peel is its creation sequence.
+``from_degree_sequence`` is that peel; ``threshold_from_labeled`` and
+``is_threshold`` go through it.
+
 Families provided here, for n vertices and m edges:
 
 * ``quasi_star``  S(n,m)  = K_k v (K_{1,a} u (n-a-k-1) K_1), the join of a
@@ -36,11 +45,6 @@ from itertools import combinations
 ISOLATED = "I"
 DOMINATING = "D"
 _SYMBOLS = frozenset((ISOLATED, DOMINATING))
-
-# Ferrers matrix cell symbols.
-PLUS = "+"
-FILLED = "*"
-EMPTY = "."
 
 
 class NotThresholdError(ValueError):
@@ -223,47 +227,12 @@ def to_labeled(g: ThresholdGraph) -> LabeledGraph:
     )
 
 
-def creation_from_labeled(g: LabeledGraph) -> tuple[str, ...]:
-    """Recover the creation sequence by peeling dominating/isolated vertices.
-
-    A threshold graph with at least two vertices has a dominating vertex or an
-    isolated vertex but never both, so the peel order of symbols is forced.
-    Raises :class:`NotThresholdError` at the first stuck step otherwise.
-    """
-    nbrs = g.neighbor_sets()
-    deg = {v: len(nbrs[v]) for v in range(1, g.n + 1)}
-    alive = set(range(1, g.n + 1))
-    reversed_syms = []
-    while alive:
-        count = len(alive)
-        if count == 1:
-            reversed_syms.append(ISOLATED)
-            break
-        pick = None
-        sym = None
-        for v in sorted(alive):
-            if deg[v] == count - 1:
-                pick, sym = v, DOMINATING
-                break
-            if deg[v] == 0 and pick is None:
-                pick, sym = v, ISOLATED
-        if pick is None:
-            remaining = tuple(sorted((deg[v] for v in alive), reverse=True))
-            raise NotThresholdError(
-                f"not a threshold graph: after removing {g.n - count} vertices the "
-                f"remaining degrees {remaining} have no dominating or isolated vertex"
-            )
-        alive.remove(pick)
-        for w in nbrs[pick]:
-            if w in alive:
-                deg[w] -= 1
-        reversed_syms.append(sym)
-    return tuple(reversed(reversed_syms))
-
-
 def threshold_from_labeled(g: LabeledGraph) -> ThresholdGraph:
-    """Canonicalize a labeled threshold graph; raises NotThresholdError."""
-    return ThresholdGraph(g.n, creation_from_labeled(g))
+    """Canonicalize a labeled threshold graph by its degree sequence.
+
+    Raises NotThresholdError when the sorted degrees do not peel.
+    """
+    return from_degree_sequence(sorted(g.degrees(), reverse=True))
 
 
 def from_degree_sequence(degrees) -> ThresholdGraph:
@@ -319,61 +288,13 @@ def from_degree_sequence(degrees) -> ThresholdGraph:
 def is_threshold(g: LabeledGraph) -> bool:
     """True iff g is a threshold graph (no induced 2K_2, C_4, or P_4).
 
-    Implemented via the peel reduction; ``is_threshold_by_forbidden_subgraphs``
-    and ``is_threshold_by_ferrers`` are equivalent criteria kept as
-    cross-checks.
+    Tested by peeling the sorted degrees: threshold sequences are unigraphic,
+    so any graph whose degrees peel is the threshold graph they describe.
     """
     try:
-        creation_from_labeled(g)
+        threshold_from_labeled(g)
     except NotThresholdError:
         return False
-    return True
-
-
-def is_threshold_by_forbidden_subgraphs(g: LabeledGraph) -> bool:
-    """Quartic scan for an induced 2K_2, C_4, or P_4."""
-    nbrs = g.neighbor_sets()
-    for quad in combinations(range(1, g.n + 1), 4):
-        sub = []
-        for u, v in combinations(quad, 2):
-            if v in nbrs[u]:
-                sub.append((u, v))
-        e = len(sub)
-        if e not in (2, 3, 4):
-            continue
-        deg = {v: 0 for v in quad}
-        for u, v in sub:
-            deg[u] += 1
-            deg[v] += 1
-        profile = tuple(sorted(deg.values()))
-        if (e, profile) in ((2, (1, 1, 1, 1)), (3, (1, 1, 2, 2)), (4, (2, 2, 2, 2))):
-            return False
-    return True
-
-
-def is_threshold_by_ferrers(g: LabeledGraph) -> bool:
-    """True iff the Ferrers matrix of the degree sequence is symmetric."""
-    f = ferrers_matrix(g)
-    n = g.n
-    return all(f[i][j] == f[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def is_stepwise(g: LabeledGraph) -> bool:
-    """Check the stepwise property of g's adjacency in its given labeling.
-
-    a_hk = 1 with h > k must force a_ij = 1 for all j < i <= h, j <= k; the
-    local form (left and upper neighbors of every 1-entry are 1) is
-    equivalent.
-    """
-    rows = g.bitrows()
-    for h in range(2, g.n + 1):
-        for k in range(1, h):
-            if not rows[h] >> k & 1:
-                continue
-            if h - 1 > k and not rows[h - 1] >> k & 1:
-                return False
-            if k >= 2 and not rows[h] >> (k - 1) & 1:
-                return False
     return True
 
 
@@ -480,31 +401,8 @@ def tilde_s(n: int, m: int) -> ThresholdGraph:
 
 
 # ---------------------------------------------------------------------------
-# Ferrers matrix, join and union
+# Join and union
 # ---------------------------------------------------------------------------
-
-def ferrers_matrix(g: LabeledGraph) -> list[list[str]]:
-    """n x n Ferrers matrix of the non-increasing degree sequence of g.
-
-    Diagonal entries are PLUS; row i carries d_i FILLED entries left-justified
-    over the off-diagonal positions; the matrix is symmetric iff g is a
-    threshold graph.
-    """
-    n = g.n
-    dseq = sorted(g.degrees(), reverse=True)
-    mat = [[EMPTY] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = PLUS
-        filled = 0
-        for c in range(n):
-            if c == i:
-                continue
-            if filled == dseq[i]:
-                break
-            mat[i][c] = FILLED
-            filled += 1
-    return mat
-
 
 def graph_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """Disjoint union; vertices of g2 are shifted by g1.n."""

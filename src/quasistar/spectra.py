@@ -144,7 +144,10 @@ def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
     return _threshold_spectrum(g, as_alpha(alpha))
 
 
-@lru_cache(maxsize=None)
+# Bounded so that long sweeps keep flat memory.  Scans never repeat a graph;
+# the rewiring certificates revisit spectra only near the current host, and
+# their hit count was the same at every bound from 64 to 4096 as unbounded.
+@lru_cache(maxsize=1024)
 def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
     """Twin-class quotient solve, lifted to stepwise labels and certified.
 

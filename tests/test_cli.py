@@ -1,10 +1,13 @@
 """Command-line behavior: verbs, auto-detection, records, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quasistar
 from quasistar.cli import main
 from quasistar.graphs import format_edge_list, quasi_star, to_labeled
 
@@ -214,7 +217,9 @@ def test_output_is_byte_identical_across_runs_and_threads():
     def record_run(threads):
         args = [sys.executable, "-m", "quasistar.cli", "--format", "structured",
                 "--threads", str(threads), "verify", "t41", "--n", "6..7", "--alpha", "1/2"]
-        return subprocess.run(args, capture_output=True, check=True).stdout
+        # The child imports the same checkout as this test, not an installed copy.
+        env = dict(os.environ, PYTHONPATH=str(Path(quasistar.__file__).parents[1]))
+        return subprocess.run(args, capture_output=True, check=True, env=env).stdout
 
     first = record_run(1)
     second = record_run(1)

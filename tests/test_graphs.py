@@ -11,16 +11,12 @@ from quasistar.graphs import (
     NotThresholdError,
     complete_graph,
     empty_graph,
-    ferrers_matrix,
     format_edge_list,
     from_creation_sequence,
     from_degree_sequence,
     graph_join,
     graph_union,
-    is_stepwise,
     is_threshold,
-    is_threshold_by_ferrers,
-    is_threshold_by_forbidden_subgraphs,
     l_graph,
     parse_creation,
     parse_edge_list,
@@ -30,8 +26,6 @@ from quasistar.graphs import (
     tilde_s,
     to_labeled,
 )
-
-PLUS, FILLED, EMPTY = "+", "*", "."
 
 
 def edges(g: LabeledGraph):
@@ -102,6 +96,25 @@ def test_to_labeled_single_vertex():
     assert edges(to_labeled(from_creation_sequence("I"))) == set()
 
 
+def is_stepwise(g: LabeledGraph) -> bool:
+    """Edge-level reference: the stepwise property of g in its given labeling.
+
+    a_hk = 1 with h > k must force a_ij = 1 for all j < i <= h, j <= k; the
+    local form (left and upper neighbors of every 1-entry are 1) is
+    equivalent.
+    """
+    rows = g.bitrows()
+    for h in range(2, g.n + 1):
+        for k in range(1, h):
+            if not rows[h] >> k & 1:
+                continue
+            if h - 1 > k and not rows[h - 1] >> k & 1:
+                return False
+            if k >= 2 and not rows[h] >> (k - 1) & 1:
+                return False
+    return True
+
+
 def test_stepwise_property_all_n7():
     for g in all_creation_sequences(7):
         lab = to_labeled(g)
@@ -137,8 +150,29 @@ def test_is_stepwise_rejects_bad_labelings():
 
 
 # ---------------------------------------------------------------------------
-# Recognition: peel reduction, forbidden subgraphs, Ferrers symmetry
+# Recognition: the degree peel against the forbidden-subgraph reference
 # ---------------------------------------------------------------------------
+
+def is_threshold_by_forbidden_subgraphs(g: LabeledGraph) -> bool:
+    """Edge-level reference: quartic scan for an induced 2K_2, C_4, or P_4."""
+    nbrs = g.neighbor_sets()
+    for quad in itertools.combinations(range(1, g.n + 1), 4):
+        sub = []
+        for u, v in itertools.combinations(quad, 2):
+            if v in nbrs[u]:
+                sub.append((u, v))
+        e = len(sub)
+        if e not in (2, 3, 4):
+            continue
+        deg = {v: 0 for v in quad}
+        for u, v in sub:
+            deg[u] += 1
+            deg[v] += 1
+        profile = tuple(sorted(deg.values()))
+        if (e, profile) in ((2, (1, 1, 1, 1)), (3, (1, 1, 2, 2)), (4, (2, 2, 2, 2))):
+            return False
+    return True
+
 
 G_6_9_EDGES = [(1, 2), (1, 3), (1, 4), (1, 5), (3, 4), (1, 6), (2, 6), (2, 3), (2, 5)]
 
@@ -154,22 +188,32 @@ def test_is_threshold_examples():
     assert not is_threshold(two_k2)
 
 
-def test_three_recognizers_agree_on_all_graphs_n5():
-    # Every labeled graph on 5 vertices: the three criteria must agree.
-    pairs = list(itertools.combinations(range(1, 6), 2))
-    for mask in range(1 << len(pairs)):
-        g = LabeledGraph.from_edges(5, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        a = is_threshold(g)
-        b = is_threshold_by_forbidden_subgraphs(g)
-        c = is_threshold_by_ferrers(g)
-        assert a == b == c, f"criteria disagree on mask {mask}: {a} {b} {c}"
+def test_degree_peel_matches_forbidden_subgraphs_on_all_graphs_n6():
+    # Every labeled graph with n <= 6 (33,867 graphs).
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = LabeledGraph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            assert is_threshold(g) == is_threshold_by_forbidden_subgraphs(g), (n, mask)
 
 
 def test_every_threshold_graph_passes_all_recognizers():
     for g in all_creation_sequences(7):
         lab = to_labeled(g)
         assert is_threshold(lab)
-        assert is_threshold_by_ferrers(lab)
+        assert is_threshold_by_forbidden_subgraphs(lab)
+
+
+def test_threshold_from_labeled_is_invariant_under_relabeling():
+    # Every labeling of every threshold graph with n <= 6, not only stepwise ones.
+    for n in range(1, 7):
+        for g in all_creation_sequences(n):
+            lab = to_labeled(g)
+            for perm in itertools.permutations(range(1, n + 1)):
+                relabeled = LabeledGraph.from_edges(
+                    n, ((perm[u - 1], perm[v - 1]) for u, v in lab.edges)
+                )
+                assert threshold_from_labeled(relabeled) == g
 
 
 # ---------------------------------------------------------------------------
@@ -313,42 +357,6 @@ def test_family_range_errors():
         quasi_star(6, 16)
     with pytest.raises(ValueError):
         l_graph(6, 4)
-
-
-# ---------------------------------------------------------------------------
-# Ferrers matrices
-# ---------------------------------------------------------------------------
-
-def test_ferrers_matrix_of_threshold_graph_is_symmetric():
-    f = ferrers_matrix(to_labeled(quasi_star(6, 9)))
-    expected = [
-        "+*****",
-        "*+****",
-        "**+...",
-        "**.+..",
-        "**..+.",
-        "**...+",
-    ]
-    assert ["".join(row) for row in f] == expected
-
-
-def test_ferrers_matrix_of_non_threshold_graph_is_asymmetric():
-    f = ferrers_matrix(LabeledGraph.from_edges(6, G_6_9_EDGES))
-    expected = [
-        "+*****",
-        "*+***.",
-        "**+*..",
-        "**.+..",
-        "**..+.",
-        "**...+",
-    ]
-    assert ["".join(row) for row in f] == expected
-    assert f[1][5] != f[5][1]
-
-
-def test_ferrers_matrix_triangle():
-    f = ferrers_matrix(complete_graph(3))
-    assert ["".join(row) for row in f] == ["+**", "*+*", "**+"]
 
 
 # ---------------------------------------------------------------------------

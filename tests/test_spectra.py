@@ -173,9 +173,15 @@ def _perturbed_eigh(monkeypatch, shift):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
 
 
-def test_nonconvergence_reports_residual(monkeypatch):
+@pytest.fixture
+def cold_spectrum_cache():
+    """Start with an empty threshold-spectrum cache, so the kernel really runs."""
+    spectra._threshold_spectrum.cache_clear()
+
+
+def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
     g = quasi_star(6, 10)
-    alpha = Fraction(7, 13)  # exceptions are never cached; no other test uses it
+    alpha = Fraction(7, 13)
     x_dense = spectral_radius(to_labeled(g), alpha).perron
     _perturbed_eigh(monkeypatch, 1e-6)
     with pytest.raises(NonConvergenceError, match="did not converge") as dense:
@@ -198,12 +204,12 @@ def test_perron_sign_is_normalised(monkeypatch):
     assert np.allclose(got, expect, atol=1e-12)
 
 
-def test_quotient_degrees_are_checked_against_the_graph(monkeypatch):
+def test_quotient_degrees_are_checked_against_the_graph(monkeypatch, cold_spectrum_cache):
     g = quasi_star(6, 10)
     wrong = (5, 4, 4, 3, 2, 2)  # sums to 2m but is not the degree sequence (5, 5, 3, 3, 2, 2)
     monkeypatch.setattr(type(g), "degree_sequence", lambda self: wrong)
     with pytest.raises(ArithmeticError, match="disagree"):
-        threshold_spectrum(g, Fraction(5, 13))  # no other test uses this alpha
+        threshold_spectrum(g, Fraction(5, 13))
 
 
 def test_negative_perron_entry_is_an_error():
