@@ -11,10 +11,12 @@ equal iff their sequences are equal.
 
 Under a degree-descending vertex numbering the adjacency matrix of a threshold
 graph is *stepwise*: a_hk = 1 with h > k forces a_ij = 1 for all j < i <= h,
-j <= k.  ``ThresholdGraph.stepwise_rows`` is the one definition of that
-numbering: adjacency bitmasks computed from the degree sequence.
-``to_labeled`` reads its edge set off those rows, and the rewiring module
-validates moves on them and applies moves to the degrees in that order.
+j <= k.  Equivalently every neighborhood is a prefix, and ``stepwise_row(v,
+d)`` is the one prefix rule: vertex v of degree d is adjacent to 1..d, or to
+1..d+1 except itself when v <= d.  ``ThresholdGraph.stepwise_rows`` applies it
+to the degree sequence, ``to_labeled`` reads its edge set off those rows, and
+the rewiring module accepts a move exactly when every row it touches is again
+a ``stepwise_row``.
 
 Recognition is one test on degrees.  A threshold degree sequence has exactly
 one realization (threshold sequences are unigraphic; Mahadev-Peled, *Threshold
@@ -105,18 +107,23 @@ class ThresholdGraph:
     def stepwise_rows(self) -> tuple[int, ...]:
         """Adjacency bitmasks in stepwise labels; index 0 is unused.
 
-        The stepwise order lists vertices by descending degree, and in it every
-        neighborhood is a prefix: vertex v of degree d is adjacent to 1..d, or
-        to 1..d+1 except itself when v <= d.
+        The stepwise order lists vertices by descending degree; each row is
+        the ``stepwise_row`` of its vertex and degree.
         """
-        rows = [0]
-        for v, d in enumerate(self.degree_sequence(), start=1):
-            reach = d + (v <= d)
-            rows.append(((1 << (reach + 1)) - 2) & ~(1 << v))
-        return tuple(rows)
+        degrees = self.degree_sequence()
+        return (0,) + tuple(stepwise_row(v, d) for v, d in enumerate(degrees, start=1))
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThresholdGraph({self.text})"
+
+
+def stepwise_row(v: int, d: int) -> int:
+    """Bitmask of the prefix neighborhood of vertex v with degree d.
+
+    Vertex v is adjacent to 1..d, or to 1..d+1 except itself when v <= d.
+    """
+    reach = d + (v <= d)
+    return ((1 << (reach + 1)) - 2) & ~(1 << v)
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,13 @@ class NonConvergenceError(RuntimeError):
 def as_alpha(value) -> Fraction:
     """Normalize alpha to an exact Fraction in [0, 1).
 
-    Accepts Fraction, int, or a string such as ``"1/2"`` or ``"0.75"`` (the
-    decimal is converted to the exact rational of its literal digits).  Floats
-    are rejected to keep the alpha = 1/2 equality test exact.
+    Accepts Fraction (returned as is), int, or a string such as ``"1/2"`` or
+    ``"0.75"`` (the decimal is converted to the exact rational of its literal
+    digits).  Floats are rejected to keep the alpha = 1/2 equality test exact.
     """
     if isinstance(value, float):
         raise TypeError("alpha must be an exact rational (Fraction, int, or string), not float")
-    alpha = Fraction(value)
+    alpha = value if isinstance(value, Fraction) else Fraction(value)
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
     return alpha
@@ -245,12 +245,7 @@ class QuotientMatrix:
         return np.array([[float(x) for x in row] for row in self.entries])
 
     def largest_eigenvalue(self) -> float:
-        eigs = np.linalg.eigvals(self.as_array())
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        real = [ev.real for ev in eigs if abs(ev.imag) <= 1e-8 * scale]
-        if not real:
-            raise ArithmeticError("no real eigenvalue found")
-        return max(real)
+        return _largest_real(np.linalg.eigvals(self.as_array()), "no real eigenvalue found")
 
 
 def quotient_matrix(matrix, partition) -> QuotientMatrix:
@@ -328,11 +323,18 @@ def _to_fraction(x) -> Fraction:
 
 def largest_real_root(coeffs) -> float:
     """Largest real root of a polynomial given by descending coefficients."""
-    roots = np.roots([float(c) for c in coeffs])
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    real = [r.real for r in roots if abs(r.imag) <= 1e-8 * scale]
+    return _largest_real(np.roots([float(c) for c in coeffs]), "polynomial has no real root")
+
+
+def _largest_real(values: np.ndarray, empty: str) -> float:
+    """Largest real part among values with |imag| <= 1e-8 * max(1, max |value|).
+
+    Raises ArithmeticError(empty) when no value passes.
+    """
+    scale = max(1.0, float(np.max(np.abs(values))))
+    real = [v.real for v in values if abs(v.imag) <= 1e-8 * scale]
     if not real:
-        raise ArithmeticError("polynomial has no real root")
+        raise ArithmeticError(empty)
     return max(real)
 
 

@@ -12,15 +12,18 @@ l >= 0:
 * ``COL (p, q; h, k; l)``          removes the vertical strip
   (h, k)...(h-l, k) and fills (p, q)...(p, q-l).
 
-Validation checks the adjacency pattern that makes the move well-formed (the
-removed cells are the tip of their row/column, the filled cells are the first
-vacancies of theirs), which also guarantees the result is again a threshold
-graph with the same vertex and edge counts.
+Validation is one rule for all three kinds.  In the stepwise matrix every
+neighborhood is a prefix (``graphs.stepwise_row``), and nested neighborhoods
+are exactly what makes a graph threshold, so the paper's conditions (ii) and
+(iii) (removed cells at the tip of their row/column, filled cells at the first
+vacancies of theirs) say: every removed cell is an edge, every filled cell is
+vacant, and every row the move touches is again the prefix row for its new
+degree.  The result is then threshold with the same vertex and edge counts.
+``bench/reference.py`` defines validity the same way, on dense matrices.
 
-A move never touches an edge set.  ``validate`` reads the host's stepwise
-bitmask rows; the move then subtracts 1 from the degrees at both ends of each
-removed cell and adds 1 at both ends of each filled cell, and
-``from_degree_sequence`` turns the sorted result into the canonical creation
+A move never touches an edge set.  Each spec caches the bits its cells clear
+and set in every row they touch; the moved bitmask rows give the rewired
+degrees, and ``from_degree_sequence`` turns them into the canonical creation
 sequence (a threshold degree sequence has exactly one realization).  Both
 ``apply_transform`` and ``certify`` go through that one step.
 
@@ -36,10 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import ThresholdGraph, from_degree_sequence
+from .graphs import ThresholdGraph, from_degree_sequence, stepwise_row
 from .spectra import HALF, RHO_COMPARE_TOL, as_alpha, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
@@ -120,6 +124,16 @@ class TransformSpec:
             return [(self.q, self.p - j) for j in range(self.l + 1)]
         return [(self.q - j, self.p) for j in range(self.l + 1)]
 
+    @cached_property
+    def _row_edits(self) -> tuple[tuple[int, int, int], ...]:
+        """(vertex, bits to clear, bits to set) for every row the move touches."""
+        edits = {}
+        for cells, slot in ((self.removals(), 0), (self.additions(), 1)):
+            for u, v in cells:
+                edits.setdefault(u, [0, 0])[slot] |= 1 << v
+                edits.setdefault(v, [0, 0])[slot] |= 1 << u
+        return tuple((v, clear, fill) for v, (clear, fill) in sorted(edits.items()))
+
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -130,89 +144,45 @@ class ValidationResult:
         return self.ok
 
 
-def _fail(reason: str) -> ValidationResult:
-    return ValidationResult(False, reason)
+def _moved_rows(g: ThresholdGraph, spec: TransformSpec) -> dict[int, int] | str:
+    """``{vertex: row after the move}`` for each touched row, or why the move fails.
 
-
-def _all_set(row: int, lo: int, hi: int) -> bool:
-    """Bits lo..hi of row all set (vacuously true when lo > hi)."""
-    if lo > hi:
-        return True
-    mask = (1 << (hi + 1)) - (1 << lo)
-    return row & mask == mask
-
-
-def _none_set(row: int, lo: int, hi: int) -> bool:
-    if lo > hi:
-        return True
-    mask = (1 << (hi + 1)) - (1 << lo)
-    return row & mask == 0
-
-
-def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult:
-    """Check the adjacency conditions of the rewiring on g's stepwise matrix.
-
-    Returns a truthy/falsy result; on failure ``reason`` names the first
-    violated clause.  Raises ValueError when indices exceed the host size.
+    Raises ValueError when indices exceed the host size.
     """
     if spec.p > g.n:
         raise ValueError(f"index p={spec.p} out of range for n={g.n}")
     if not g.is_connected:
-        return _fail("host graph is not connected")
+        return "host graph is not connected"
     rows = g.stepwise_rows
-    p, q, h, k, l = spec.p, spec.q, spec.h, spec.k, spec.l
+    for v, clear, fill in spec._row_edits:
+        if clear & ~rows[v]:
+            u = (clear & ~rows[v]).bit_length() - 1
+            return f"(iii): a[{v},{u}] = 0, a removed cell is not an edge"
+        if fill & rows[v]:
+            u = (fill & rows[v]).bit_length() - 1
+            return f"(ii): a[{v},{u}] = 1, a filled cell is not vacant"
+    moved = {}
+    for v, clear, fill in spec._row_edits:
+        row = rows[v] ^ clear ^ fill
+        if row != stepwise_row(v, row.bit_count()):
+            return f"row {v} is not stepwise after the move"
+        moved[v] = row
+    return moved
 
-    if spec.kind == "BASIC":
-        if rows[p] >> q & 1:
-            return _fail(f"(ii): a[{p},{q}] = 1, the target corner is not vacant")
-        if not _all_set(rows[p], 1, q - 1):
-            return _fail(f"(ii): row {p} is not full on columns 1..{q - 1}")
-        if not _all_set(rows[q], q + 1, p - 1):
-            return _fail(f"(ii): column {q} is not full on rows {q + 1}..{p - 1}")
-        if not rows[h] >> k & 1:
-            return _fail(f"(iii): a[{h},{k}] = 0, there is no edge to remove")
-        if not _none_set(rows[h], k + 1, g.n):
-            return _fail(f"(iii): row {h} extends past column {k}")
-        if not _none_set(rows[k], h + 1, g.n):
-            return _fail(f"(iii): column {k} extends past row {h}")
-        return ValidationResult(True)
 
-    if spec.kind == "ROW":
-        for i in range(p - l, p + 1):
-            if rows[i] >> q & 1:
-                return _fail(f"(ii): a[{i},{q}] = 1, a target cell is not vacant")
-            if not _all_set(rows[i], 1, q - 1):
-                return _fail(f"(ii): row {i} is not full on columns 1..{q - 1}")
-        if not _all_set(rows[q], q + 1, p - l - 1):
-            return _fail(f"(ii): column {q} is not full on rows {q + 1}..{p - l - 1}")
-        if not _all_set(rows[h], k, k + l):
-            return _fail(f"(iii): row {h} is missing a column in {k}..{k + l}")
-        if not _none_set(rows[h], k + l + 1, g.n):
-            return _fail(f"(iii): row {h} extends past column {k + l}")
-        if not _none_set(rows[h + 1], k, k + l):
-            return _fail(f"(iii): row {h + 1} still holds a column in {k}..{k + l}")
-        return ValidationResult(True)
+def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult:
+    """Check the rewiring on g's stepwise matrix by the one prefix rule.
 
-    # COL
-    for s in range(q - l, q + 1):
-        if rows[p] >> s & 1:
-            return _fail(f"(ii): a[{p},{s}] = 1, a target cell is not vacant")
-        if not _all_set(rows[s], s + 1, p - 1):
-            return _fail(f"(ii): column {s} is not full on rows {s + 1}..{p - 1}")
-    if not _all_set(rows[p], 1, q - l - 1):
-        return _fail(f"(ii): row {p} is not full on columns 1..{q - l - 1}")
-    for s in range(h - l, h + 1):
-        if not rows[s] >> k & 1:
-            return _fail(f"(iii): a[{s},{k}] = 0, there is no edge to remove")
-        if not _none_set(rows[s], k + 1, g.n):
-            return _fail(f"(iii): row {s} extends past column {k}")
-    if not _none_set(rows[k], h + 1, g.n):
-        return _fail(f"(iii): column {k} extends past row {h}")
-    return ValidationResult(True)
+    Returns a truthy/falsy result; on failure ``reason`` names the first
+    violation found by ``_moved_rows``, which raises ValueError when indices
+    exceed the host size.
+    """
+    moved = _moved_rows(g, spec)
+    return ValidationResult(False, moved) if isinstance(moved, str) else ValidationResult(True)
 
 
 def _rewire(g: ThresholdGraph, spec: TransformSpec) -> tuple[list[int], ThresholdGraph]:
-    """Validate, then move the spec's cells on g's stepwise degrees.
+    """Validate, then read the rewired degrees off the moved rows.
 
     Returns the rewired degrees on the host's labels (index v-1 is vertex v)
     and the canonical result.  A valid move keeps the graph threshold, and a
@@ -220,14 +190,12 @@ def _rewire(g: ThresholdGraph, spec: TransformSpec) -> tuple[list[int], Threshol
     the result; ``from_degree_sequence`` raises NotThresholdError should a
     move ever leave the class.
     """
-    check = validate(g, spec)
-    if not check:
-        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {check.reason}")
+    moved = _moved_rows(g, spec)
+    if isinstance(moved, str):
+        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {moved}")
     deg = list(g.degree_sequence())
-    for cells, step in ((spec.removals(), -1), (spec.additions(), 1)):
-        for u, v in cells:
-            deg[u - 1] += step
-            deg[v - 1] += step
+    for v, row in moved.items():
+        deg[v - 1] = row.bit_count()
     after = from_degree_sequence(sorted(deg, reverse=True))
     assert after.n == g.n and after.m == g.m
     return deg, after
@@ -260,7 +228,9 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
 #
 #   (rho2 - p*a + 1) (y_q - y_k) = (p - h0 + 1) a y_k + (1-a) (y_{h0} + ... + y_p)
 #
-# with h0 = h for BASIC/ROW and h-l for COL.  Both identities hold exactly at
+# with h0 the topmost removed row (h for BASIC/ROW, h-l for COL).  A cell
+# (u, v) of ``removals()``/``additions()`` sits in row v and column u < v, so
+# w, q0 and h0 are read off the cells without naming the kind.  Both identities hold exactly at
 # the eigenpairs for every alpha in [0, 1); their numerical residuals are the
 # certificate's eq1/eq2 fields.
 
@@ -268,13 +238,9 @@ def eq1_residual(rho1: float, x, spec: TransformSpec, alpha) -> float:
     """Residual of the host-side identity for the eigenpair (rho1, x)."""
     a = float(alpha) if not isinstance(alpha, float) else alpha
     x = np.asarray(x, dtype=float)
-    p, q, h, k, l = spec.p, spec.q, spec.h, spec.k, spec.l
-    if spec.kind == "ROW":
-        w, q0 = k + l, q
-    elif spec.kind == "COL":
-        w, q0 = k, q - l
-    else:
-        w, q0 = k, q
+    p, h = spec.p, spec.h
+    w = max(col for col, _ in spec.removals())
+    q0 = min(col for col, _ in spec.additions())
     lhs = (rho1 - w * a) * (x[h - 1] - x[p - 1])
     rhs = (w - q0 + 1) * a * x[p - 1] + (1.0 - a) * float(np.sum(x[q0 - 1 : w]))
     return abs(lhs - rhs)
@@ -288,8 +254,8 @@ def eq2_residual(rho2: float, y, spec: TransformSpec, alpha) -> float:
     """
     a = float(alpha) if not isinstance(alpha, float) else alpha
     y = np.asarray(y, dtype=float)
-    p, q, h, k, l = spec.p, spec.q, spec.h, spec.k, spec.l
-    h0 = h - l if spec.kind == "COL" else h
+    p, q, k = spec.p, spec.q, spec.k
+    h0 = min(row for _, row in spec.removals())
     lhs = (rho2 - p * a + 1.0) * (y[q - 1] - y[k - 1])
     rhs = (p - h0 + 1) * a * y[k - 1] + (1.0 - a) * float(np.sum(y[h0 - 1 : p]))
     return abs(lhs - rhs)

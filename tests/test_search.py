@@ -220,12 +220,16 @@ def test_verify_all_graphs_2n2_small():
     assert at5.maximizer_set == (quasi_star(5, 8).text,)
 
 
-def test_verify_clique_band_tie_instance():
-    reports = verify_clique_band(3, 24, [HALF])
+def test_clique_band_hypothesis_bound_formula():
     assert clique_band_hypothesis_bound(3) == pytest.approx((27 + 5 * 17 ** 0.5) / 2)
-    assert all(not r.warnings or "near-tie" not in r.warnings[0] for r in reports)
-    tie = [r for r in reports if r.family.m == 48][0]
-    assert set(tie.maximizer_set) == {quasi_star(24, 48).text, tilde_s(24, 48).text}
+
+
+def test_verify_clique_band_tie_instance():
+    # The n = 24 instance (tie at m = 48) is criterion 3; n = 12 ties at m = 24.
+    reports = verify_clique_band(3, 12, [HALF])
+    assert all("near-tie" not in w for r in reports for w in r.warnings)
+    tie = [r for r in reports if r.family.m == 24][0]
+    assert set(tie.maximizer_set) == {quasi_star(12, 24).text, tilde_s(12, 24).text}
     assert tie.matches_theorem
 
 
