@@ -15,8 +15,6 @@ from .graphs import (
     ThresholdGraph,
     from_creation_sequence,
     from_degree_sequence,
-    graph_join,
-    graph_union,
     is_threshold,
     l_graph,
     quasi_star,

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 ISOLATED = "I"
 DOMINATING = "D"
@@ -165,17 +164,6 @@ class LabeledGraph:
             nbrs[u].add(v)
             nbrs[v].add(u)
         return nbrs
-
-    def bitrows(self) -> list[int]:
-        """Adjacency rows as bitmasks, bit v set iff adjacent to vertex v."""
-        rows = [0] * (self.n + 1)
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return rows
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by least vertex."""
@@ -405,35 +393,6 @@ def tilde_s(n: int, m: int) -> ThresholdGraph:
         if mk > m:
             break
     raise ValueError(f"tilde-S is undefined for n={n}, m={m}: m != k*n - k(k+1)/2 + 3 for any k")
-
-
-# ---------------------------------------------------------------------------
-# Join and union
-# ---------------------------------------------------------------------------
-
-def graph_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Disjoint union; vertices of g2 are shifted by g1.n."""
-    shift = g1.n
-    edges = list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges]
-    return LabeledGraph.from_edges(g1.n + g2.n, edges)
-
-
-def graph_join(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Join: disjoint union plus all edges between the two sides."""
-    shift = g1.n
-    edges = list(graph_union(g1, g2).edges)
-    for u in range(1, g1.n + 1):
-        for v in range(1, g2.n + 1):
-            edges.append((u, v + shift))
-    return LabeledGraph.from_edges(g1.n + g2.n, edges)
-
-
-def empty_graph(n: int) -> LabeledGraph:
-    return LabeledGraph.from_edges(n, [])
-
-
-def complete_graph(n: int) -> LabeledGraph:
-    return LabeledGraph.from_edges(n, combinations(range(1, n + 1), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exhaustive searches over graph families of fixed order and size.
 
 Threshold graphs of order n biject with creation sequences, and the edge
-count only depends on which positions are dominating (position i contributes
-i-1 edges), so enumerating the family with m edges is a subset-sum walk over
-{1..n-1} with pruning on the reachable totals.  Connected members are the
-sequences ending in D.
+count only depends on which steps are dominating (step i, 0-based, adds i
+edges), so the family with m edges is a subset-sum walk with pruning on the
+reachable totals; connected members end in D.  The walk emits D-position
+bitmasks.  ``argmax_rho`` solves them ``FAMILY_CHUNK`` at a time as bool rows
+of the batched kernel ``family_spectra``, with no graph object per member.
 
 General graphs are enumerated once per order (n <= 7) up to isomorphism by
 edge augmentation with canonical-form rejection; the canonical form of an
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .spectra import (
     HALF,
     RHO_COMPARE_TOL,
     as_alpha,
+    family_spectra,
     spectral_radius,
-    threshold_spectrum,
 )
 
 NEAR_TIE_WARNING = 1e-6
@@ -79,32 +80,51 @@ class FamilySpec:
         return "H" if self.connected_only else "G"
 
 
+#: Graphs per ``family_spectra`` call in a threshold scan.  It bounds the
+#: scan's memory; at n = 30 larger chunks were no faster, only larger.
+FAMILY_CHUNK = 512
+
+
+def _dominating_masks(family: FamilySpec):
+    """Subset-sum walk: yield each member's D positions as a bitmask.
+
+    Bit i is set when creation step i (0-based) is dominating; it adds i
+    edges.  Members come in the canonical walk order.
+    """
+    n, m = family.n, family.m
+    if n == 1:
+        yield 0
+        return
+    # State: the highest undecided step, the edges still needed, the mask.
+    # Taking a step is pushed last so it is explored first.  Subset sums of
+    # {1..top} fill [0, top(top+1)/2], so every branch kept yields a member.
+    stack = [(n - 2, m - (n - 1), 1 << (n - 1))] if family.connected_only else [(n - 1, m, 0)]
+    while stack:
+        top, need, mask = stack.pop()
+        if need == 0:
+            yield mask
+        elif 0 < need <= top * (top + 1) // 2:
+            stack.append((top - 1, need, mask))
+            stack.append((top - 1, need - top, mask | 1 << top))
+
+
+def _creation(mask: int, n: int) -> tuple[str, ...]:
+    return tuple(DOMINATING if mask >> i & 1 else ISOLATED for i in range(n))
+
+
+def _rows(masks: list[int], n: int) -> np.ndarray:
+    """The (len(masks), n) bool matrix of D positions of the given bitmasks."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
+
+
 def enumerate_threshold(family: FamilySpec):
     """Yield every threshold graph of the family exactly once, canonically."""
     if family.universe != THRESHOLD:
         raise ValueError("enumerate_threshold needs a THRESHOLD family")
-    n, m = family.n, family.m
-    if n == 1:
-        yield ThresholdGraph(1, (ISOLATED,))
-        return
-
-    def walk(pos: int, need: int, chosen: tuple[int, ...]):
-        if need == 0:
-            yield chosen
-            return
-        if pos < 2 or need < 0 or need > pos * (pos - 1) // 2:
-            return
-        yield from walk(pos - 1, need - (pos - 1), chosen + (pos,))
-        yield from walk(pos - 1, need, chosen)
-
-    if family.connected_only:
-        starts = walk(n - 1, m - (n - 1), (n,))
-    else:
-        starts = walk(n, m, ())
-    for dom_positions in starts:
-        marks = set(dom_positions)
-        seq = tuple(DOMINATING if i in marks else ISOLATED for i in range(1, n + 1))
-        yield ThresholdGraph(n, seq)
+    for mask in _dominating_masks(family):
+        yield ThresholdGraph(family.n, _creation(mask, family.n))
 
 
 # ---------------------------------------------------------------------------
@@ -189,22 +209,6 @@ def _from_edge_key(key: str, n: int) -> LabeledGraph:
     return LabeledGraph.from_edges(n, ((int(t[0]), int(t[1])) for t in tokens))
 
 
-def automorphism_count(g: LabeledGraph) -> int:
-    """Number of vertex permutations fixing g; brute force, n <= 7."""
-    pairs, _ = _pairs(g.n)
-    weights = _perm_weights(g.n)
-    col = np.zeros(len(pairs))
-    mask = 0
-    _, index = _pairs(g.n)
-    for u, v in g.edges:
-        mask |= 1 << index[(u, v)]
-    for ei in range(len(pairs)):
-        if mask >> ei & 1:
-            col[ei] = 1.0
-    vals = weights @ col
-    return int(np.count_nonzero(vals == float(mask)))
-
-
 def enumerate_all(family: FamilySpec):
     """Yield one representative per isomorphism class of the ALL family."""
     if family.universe != ALL:
@@ -255,17 +259,18 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     """Scan the family for its spectral-radius maximizers at the given alpha."""
     alpha = as_alpha(alpha)
     if family.universe == THRESHOLD:
-        scored = [(g.text, threshold_spectrum(g, alpha).rho) for g in enumerate_threshold(family)]
+        radii, near = _threshold_radii(family, alpha)
     else:
-        scored = [(edge_key(g), spectral_radius(g, alpha).rho) for g in enumerate_all(family)]
-    if not scored:
+        near = [(edge_key(g), spectral_radius(g, alpha).rho) for g in enumerate_all(family)]
+        radii = np.array([rho for _, rho in near])
+    if not len(radii):
         raise ValueError(f"family {family} is empty")
-    rho_max = max(rho for _, rho in scored)
-    maximizers = tuple(sorted(key for key, rho in scored if rho >= rho_max - RHO_COMPARE_TOL))
-    outside = [rho for _, rho in scored if rho < rho_max - RHO_COMPARE_TOL]
-    tie_gap = rho_max - max(outside) if outside else float("inf")
+    rho_max = float(radii.max())
+    maximizers = tuple(sorted(key for key, rho in near if rho >= rho_max - RHO_COMPARE_TOL))
+    outside = radii[radii < rho_max - RHO_COMPARE_TOL]
+    tie_gap = rho_max - float(outside.max()) if len(outside) else float("inf")
     warnings = ()
-    if outside and tie_gap < NEAR_TIE_WARNING:
+    if len(outside) and tie_gap < NEAR_TIE_WARNING:
         warnings = (
             f"near-tie: best non-maximizer within {tie_gap:.3e} of the maximum",
         )
@@ -278,6 +283,23 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
         matches_theorem=None,
         warnings=warnings,
     )
+
+
+def _threshold_radii(family: FamilySpec, alpha: Fraction):
+    """Every radius of the family, and (text, rho) for each possible maximizer.
+
+    The walk is solved ``FAMILY_CHUNK`` graphs at a time.  A graph more than
+    ``RHO_COMPARE_TOL`` below the running maximum keeps only its radius.
+    """
+    walk = _dominating_masks(family)
+    radii, near, top = [], [], -np.inf
+    while chunk := list(islice(walk, FAMILY_CHUNK)):
+        rho = family_spectra(_rows(chunk, family.n), alpha)[0]
+        radii.append(rho)
+        top = max(top, rho.max())
+        near.extend((mask, r) for mask, r in zip(chunk, rho.tolist()) if r >= top - RHO_COMPARE_TOL)
+    texts = [("".join(_creation(mask, family.n)), r) for mask, r in near]
+    return np.concatenate(radii), texts
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:

@@ -10,16 +10,17 @@ signless Laplacian Q(G) = D(G) + A(G) (alpha = 1/2).  alpha stays an exact
 ``fractions.Fraction`` until matrix assembly so that alpha == 1/2 is exact.
 
 Dominant eigenpairs come from LAPACK's ``numpy.linalg.eigh``.  General graphs
-are solved densely per connected component.  Threshold graphs are solved on
-their run quotient: maximal runs of equal creation symbols (the first vertex
-joins the second's run; a trailing ``I`` run is split off as isolated
-vertices) are twin classes, hence an equitable partition, so rho is the top
-eigenvalue of the symmetrised quotient and the Perron vector is constant on
-each run.  Every pair is certified: the vector's sign makes its sum positive,
-no entry may be negative beyond rounding, and the infinity-norm residual of
-the full n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for
-threshold graphs by an O(n) prefix-sum product, since stepwise neighborhoods
-are prefixes).
+are solved densely per connected component.  Threshold graphs have one batched
+kernel, ``family_spectra``, on their run quotients: maximal runs of equal
+creation symbols (the first vertex joins the second's run; a trailing ``I``
+run is split off as isolated vertices) are twin classes, hence an equitable
+partition, so rho is the top eigenvalue of the symmetrised quotient and the
+Perron vector is constant on each run.  ``threshold_spectrum`` is its cached
+one-graph call.  Every pair is certified: the vector's sign makes its sum
+positive, no entry may be negative beyond rounding, and the infinity-norm
+residual of the full n-vector against M_alpha must stay below
+``RESIDUAL_TOL`` (for threshold graphs by an O(n) prefix-sum product in
+creation order).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import DOMINATING, ISOLATED, LabeledGraph, ThresholdGraph, is_threshold
+from .graphs import DOMINATING, LabeledGraph, ThresholdGraph, is_threshold
 
 #: Bound on the infinity-norm eigen-residual of a returned pair, and on the
 #: rounding allowed below zero in its Perron entries.
@@ -105,15 +106,12 @@ def _top_eigenpair(mat: np.ndarray):
     return float(vals[-1]), (vec if vec.sum() >= 0.0 else -vec)
 
 
-def _certified(rho: float, perron: np.ndarray, residual: float) -> Spectrum:
-    """Gate an eigenpair on its residual and on the sign of its entries."""
-    if not residual <= RESIDUAL_TOL:
-        raise NonConvergenceError(residual)
-    low = float(perron.min())
+def _gate(worst: float, low: float) -> None:
+    """Raise unless the largest residual and the least Perron entry are in bounds."""
+    if not worst <= RESIDUAL_TOL:
+        raise NonConvergenceError(worst)
     if low < -RESIDUAL_TOL:
-        raise NonConvergenceError(residual, detail=f"; Perron entry {low:.3e} is negative")
-    perron.setflags(write=False)
-    return Spectrum(rho=rho, perron=perron, iterations=0, residual=residual)
+        raise NonConvergenceError(worst, detail=f"; Perron entry {low:.3e} is negative")
 
 
 def spectral_radius(g: LabeledGraph, alpha) -> Spectrum:
@@ -136,7 +134,9 @@ def spectral_radius(g: LabeledGraph, alpha) -> Spectrum:
     rho, idx, vec, resid = best
     perron = np.zeros(g.n)
     perron[idx] = vec
-    return _certified(rho, perron, resid)
+    _gate(resid, float(perron.min()))
+    perron.setflags(write=False)
+    return Spectrum(rho=rho, perron=perron, iterations=0, residual=resid)
 
 
 def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
@@ -149,51 +149,71 @@ def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
 # their hit count was the same at every bound from 64 to 4096 as unbounded.
 @lru_cache(maxsize=1024)
 def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
-    """Twin-class quotient solve, lifted to stepwise labels and certified.
+    """The one-graph call of ``family_spectra``, lifted to stepwise labels."""
+    dom = np.array([sym == DOMINATING for sym in g.creation])
+    rho, x, residual = family_spectra(dom[None], alpha)
+    # Stepwise labels sort vertices by descending degree: D steps latest first,
+    # then I steps earliest first; only twins, with equal entries, tie.
+    perron = x[0, np.concatenate((dom.nonzero()[0][::-1], (~dom).nonzero()[0]))]
+    perron.setflags(write=False)
+    return Spectrum(rho=float(rho[0]), perron=perron, iterations=0, residual=float(residual[0]))
 
-    For runs i < j of sizes n_i, n_j the symmetrised quotient has
-    S_ii = a*deg_i + (1-a)(n_i - 1)[run i is D] and
-    S_ij = (1-a) sqrt(n_i n_j) [run j is D].
+
+def family_spectra(dom: np.ndarray, alpha: Fraction):
+    """Certified radii of a batch of threshold graphs, one per row of ``dom``.
+
+    ``dom`` is a (B, n) bool matrix of dominating creation steps (column 0 is
+    never set).  Returns radii and residuals of shape (B,) and unit Perron
+    vectors of shape (B, n) in creation order; raises NonConvergenceError if
+    any row fails its certificate.  For runs i < j of sizes n_i, n_j the
+    quotient has S_ii = a*deg_i + (1-a)(n_i - 1)[run i is D] and
+    S_ij = (1-a) sqrt(n_i n_j) [run j is D].  Quotients are grouped by run
+    count, one stacked ``eigh`` per group with no padding, so each radius is
+    bit for bit the one a lone solve of its quotient gives.
     """
     a = float(alpha)
-    runs = []  # [symbol, size] over vertices 2..n
-    for sym in g.creation[1:]:
-        if runs and runs[-1][0] == sym:
-            runs[-1][1] += 1
-        else:
-            runs.append([sym, 1])
-    isolated = runs.pop()[1] if runs and runs[-1][0] == ISOLATED else 0
-    if not runs:  # edgeless: every vertex is its own component with radius 0
-        perron = np.zeros(g.n)
-        perron[0] = 1.0
-        return _certified(0.0, perron, 0.0)
-    runs[0][1] += 1  # the first vertex is a twin of the second
+    count, n = dom.shape
+    # deg_i = D_i * i + #{j > i : D_j}.  Degree-0 vertices are isolated; the
+    # others fall into runs of equal degree, which are the runs of equal
+    # symbols except that the first vertex joins the second's run.
+    deg = dom * np.arange(-1, n - 1) + dom[:, ::-1].cumsum(axis=1)[:, ::-1]
+    a_deg = a * deg
+    live = deg > 0
+    # cut[:, i + 1] marks vertex i as the last of its run; column 0 opens run 0.
+    cut = np.empty((count, n + 1), dtype=bool)
+    cut[:, 0] = True
+    cut[:, 1:-1] = (deg[:, :-1] != deg[:, 1:]) & live[:, :-1]
+    cut[:, -1] = live[:, -1]
+    runs = cut.sum(axis=1) - 1
+    rho = np.zeros(count)
+    per_run = np.zeros((count, n + 2))  # run j in column j + 1; isolated vertices read zeros
+    ks = set(runs.tolist())
+    for k in ks - {0}:
+        rows = (runs == k).nonzero()[0]
+        bounds = cut[rows].nonzero()[1].reshape(len(rows), k + 1)
+        at = (rows[:, None], bounds[:, 1:] - 1)
+        size = (bounds[:, 1:] - bounds[:, :-1]).astype(float)
+        sym = dom[at]
+        pos = np.arange(k)
+        root = np.sqrt(size)
+        quotient = (1.0 - a) * sym[:, np.maximum.outer(pos, pos)] * (root[:, :, None] * root[:, None, :])
+        quotient[:, pos, pos] = a_deg[at] + (1.0 - a) * sym * (size - 1.0)
+        vals, vecs = np.linalg.eigh(quotient)
+        top = vecs[:, :, -1]
+        rho[rows] = vals[:, -1]
+        per_run[rows, 1 : k + 1] = top / np.copysign(root, top.sum(axis=1, keepdims=True))
+    # Vertex i reads column 1 + (runs closed before i): isolated ones read 0.
+    x = per_run[np.arange(count)[:, None], cut[:, :-1].cumsum(axis=1)]
+    if 0 in ks:  # edgeless: every vertex is its own component with radius 0
+        x[runs == 0, 0] = 1.0
 
-    size = np.array([count for _, count in runs], dtype=float)
-    dom = np.array([sym == DOMINATING for sym, _ in runs])
-    dom_size = size * dom
-    deg = dom * (np.cumsum(size) - 1.0) + dom_size.sum() - np.cumsum(dom_size)
-    pos = np.arange(len(runs))
-    adj = dom[np.maximum.outer(pos, pos)]  # the diagonal is overwritten below
-    root = np.sqrt(size)
-    quotient = (1.0 - a) * adj * np.outer(root, root)
-    quotient[pos, pos] = a * deg + (1.0 - a) * dom * (size - 1.0)
-    rho, u = _top_eigenpair(quotient)
-
-    # Stepwise labels sort vertices by descending degree; twins share a degree.
-    order = np.argsort(-deg, kind="stable")
-    counts = size[order].astype(int)
-    x = np.concatenate((np.repeat((u / root)[order], counts), np.zeros(isolated)))
-    d = np.concatenate((np.repeat(deg[order], counts), np.zeros(isolated)))
-    # Checked against g itself, so the product below certifies g, not the runs.
-    if not np.array_equal(d, g.degree_sequence()):
-        raise ArithmeticError(f"run quotient degrees disagree with {g.text}")
-    # Stepwise neighborhoods: N(v) = {1..d_v} if v > d_v, else {1..d_v+1} minus v.
-    own = np.arange(1, g.n + 1) <= d
-    prefix = np.concatenate(([0.0], np.cumsum(x)))
-    ax = prefix[d.astype(int) + own] - own * x
-    residual = float(np.max(np.abs(a * d * x + (1.0 - a) * ax - rho * x)))
-    return _certified(rho, x, residual)
+    # Certified in creation order by the definition itself:
+    # (Ax)_i = D_i * sum_{j<i} x_j + sum_{j>i} D_j x_j.
+    dom_x = (dom * x).cumsum(axis=1)
+    ax = dom * (x.cumsum(axis=1) - x) + (dom_x[:, -1:] - dom_x)
+    residual = np.abs((a_deg - rho[:, None]) * x + (1.0 - a) * ax).max(axis=1)
+    _gate(float(residual.max()), float(x.min()))
+    return rho, x, residual
 
 
 def rho_of(g, alpha) -> float:

@@ -9,13 +9,9 @@ from quasistar.graphs import (
     ISOLATED,
     LabeledGraph,
     NotThresholdError,
-    complete_graph,
-    empty_graph,
     format_edge_list,
     from_creation_sequence,
     from_degree_sequence,
-    graph_join,
-    graph_union,
     is_threshold,
     l_graph,
     parse_creation,
@@ -30,6 +26,35 @@ from quasistar.graphs import (
 
 def edges(g: LabeledGraph):
     return set(g.edges)
+
+
+def bitrows(g: LabeledGraph) -> list[int]:
+    """Adjacency rows as bitmasks, bit v set iff adjacent to vertex v."""
+    rows = [0] * (g.n + 1)
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def empty_graph(n: int) -> LabeledGraph:
+    return LabeledGraph.from_edges(n, [])
+
+
+def complete_graph(n: int) -> LabeledGraph:
+    return LabeledGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def graph_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Disjoint union; vertices of g2 are shifted by g1.n."""
+    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
+    return LabeledGraph.from_edges(g1.n + g2.n, list(g1.edges) + shifted)
+
+
+def graph_join(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Join: disjoint union plus all edges between the two sides."""
+    across = [(u, g1.n + v) for u in range(1, g1.n + 1) for v in range(1, g2.n + 1)]
+    return LabeledGraph.from_edges(g1.n + g2.n, list(graph_union(g1, g2).edges) + across)
 
 
 def all_creation_sequences(n):
@@ -103,7 +128,7 @@ def is_stepwise(g: LabeledGraph) -> bool:
     local form (left and upper neighbors of every 1-entry are 1) is
     equivalent.
     """
-    rows = g.bitrows()
+    rows = bitrows(g)
     for h in range(2, g.n + 1):
         for k in range(1, h):
             if not rows[h] >> k & 1:
@@ -139,7 +164,7 @@ def test_stepwise_rows_match_labeled_bitrows():
     for n in range(1, 10):
         for g in all_creation_sequences(n):
             reference = creation_index_labeling(g)
-            assert list(g.stepwise_rows) == reference.bitrows()
+            assert list(g.stepwise_rows) == bitrows(reference)
             assert to_labeled(g) == reference
 
 

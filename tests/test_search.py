@@ -1,8 +1,11 @@
 """Family enumeration, extremal argmax, verification drivers, audits."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasistar.graphs import (
@@ -12,12 +15,12 @@ from quasistar.graphs import (
     tilde_s,
     to_labeled,
 )
+from quasistar import search
 from quasistar.search import (
     ALL,
     FamilySpec,
     argmax_rho,
     audit,
-    automorphism_count,
     clique_band_hypothesis_bound,
     edge_key,
     enumerate_all,
@@ -117,6 +120,25 @@ def test_enumerate_all_trivial_families():
     assert len(reps) == 1 and reps[0].m == 10
 
 
+@functools.lru_cache(maxsize=None)
+def relabel_weights(n: int):
+    """Vertex pairs, and per permutation p a row of 2^(index of (p(u), p(v)))."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    weights = np.array([
+        [2.0 ** index[tuple(sorted((p[u], p[v])))] for u, v in pairs]
+        for p in itertools.permutations(range(n))
+    ])
+    return pairs, weights
+
+
+def automorphism_count(g) -> int:
+    """Number of vertex permutations fixing g; brute force over all n! of them."""
+    pairs, weights = relabel_weights(g.n)
+    bits = np.array([(u + 1, v + 1) in g.edges for u, v in pairs], dtype=float)
+    return int(np.count_nonzero(weights @ bits == bits @ 2.0 ** np.arange(len(pairs))))
+
+
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -173,6 +195,20 @@ def test_argmax_over_all_graphs_universe():
     report = argmax_rho(FamilySpec(6, 10, connected_only=False, universe=ALL), HALF)
     k5_k1 = edge_key(to_labeled(from_creation_sequence("IDDDDI")))
     assert report.maximizer_set == (k5_k1,)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, search.FAMILY_CHUNK])
+def test_argmax_report_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    cases = [
+        (FamilySpec(12, 24), HALF),  # the S ~ S~ tie
+        (FamilySpec(9, 14), Fraction(3, 4)),
+        (FamilySpec(8, 14, connected_only=False), HALF),  # K_5 u 3K_1 and friends
+        (FamilySpec(7, 0, connected_only=False), HALF),  # edgeless
+        (FamilySpec(1, 0), HALF),
+    ]
+    expected = [argmax_rho(family, alpha) for family, alpha in cases]
+    monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
+    assert [argmax_rho(family, alpha) for family, alpha in cases] == expected
 
 
 def test_argmax_deterministic_and_thread_invariant():

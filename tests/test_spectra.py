@@ -8,19 +8,19 @@ import pytest
 
 from quasistar.graphs import (
     LabeledGraph,
-    complete_graph,
     from_creation_sequence,
-    graph_union,
     quasi_star,
     to_labeled,
 )
 from quasistar import spectra
+from quasistar.search import FamilySpec, argmax_rho
 from quasistar.spectra import (
     RESIDUAL_TOL,
     NonConvergenceError,
     alpha_matrix,
     as_alpha,
     char_poly,
+    family_spectra,
     largest_real_root,
     perron_order_check,
     q_upper_bound,
@@ -38,6 +38,16 @@ def all_threshold(n):
     from quasistar.graphs import ISOLATED, DOMINATING
     for tail in itertools.product((ISOLATED, DOMINATING), repeat=n - 1):
         yield from_creation_sequence((ISOLATED,) + tail)
+
+
+def complete_graph(n: int) -> LabeledGraph:
+    return LabeledGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
+
+
+def graph_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Disjoint union; vertices of g2 are shifted by g1.n."""
+    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
+    return LabeledGraph.from_edges(g1.n + g2.n, list(g1.edges) + shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +202,9 @@ def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
     for err in (dense, quotient):
         assert err.value.residual > RESIDUAL_TOL
         assert err.value.residual == pytest.approx(1e-6 * float(np.max(x_dense)), rel=1e-6)
+    with pytest.raises(NonConvergenceError, match="did not converge") as scan:
+        argmax_rho(FamilySpec(6, 10), alpha)
+    assert scan.value.residual > RESIDUAL_TOL
 
 
 def test_perron_sign_is_normalised(monkeypatch):
@@ -204,27 +217,62 @@ def test_perron_sign_is_normalised(monkeypatch):
     assert np.allclose(got, expect, atol=1e-12)
 
 
-def test_quotient_degrees_are_checked_against_the_graph(monkeypatch, cold_spectrum_cache):
-    g = quasi_star(6, 10)
-    wrong = (5, 4, 4, 3, 2, 2)  # sums to 2m but is not the degree sequence (5, 5, 3, 3, 2, 2)
-    monkeypatch.setattr(type(g), "degree_sequence", lambda self: wrong)
-    with pytest.raises(ArithmeticError, match="disagree"):
+def test_wrong_lift_fails_the_residual(monkeypatch, cold_spectrum_cache):
+    # A quotient eigenvector with its entries reversed is lifted to a vector
+    # that is not an eigenvector of the graph; only the certificate sees it.
+    g = quasi_star(6, 10)  # IDIIDD: runs of 2 vertices with degrees 3, 2, 5, so no symmetry
+    exact = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: (exact(mat)[0], exact(mat)[1][..., ::-1, :]))
+    with pytest.raises(NonConvergenceError, match="did not converge"):
         threshold_spectrum(g, Fraction(5, 13))
+    with pytest.raises(NonConvergenceError, match="did not converge"):
+        argmax_rho(FamilySpec(6, 10), Fraction(5, 13))
 
 
 def test_negative_perron_entry_is_an_error():
     with pytest.raises(NonConvergenceError, match="negative"):
-        spectra._certified(1.0, np.array([0.8, -0.6]), 0.0)
+        spectra._gate(0.0, -0.6)
+
+
+def lone_quotient_rho(g, alpha) -> float:
+    """Reference: the per-graph run-quotient solve that the batched kernel replaced."""
+    a = float(alpha)
+    runs = []  # [symbol, size] over vertices 2..n
+    for sym in g.creation[1:]:
+        if runs and runs[-1][0] == sym:
+            runs[-1][1] += 1
+        else:
+            runs.append([sym, 1])
+    if runs and runs[-1][0] == "I":
+        runs.pop()  # isolated vertices
+    if not runs:
+        return 0.0
+    runs[0][1] += 1  # the first vertex is a twin of the second
+    size = np.array([count for _, count in runs], dtype=float)
+    dom = np.array([sym == "D" for sym, _ in runs])
+    dom_size = size * dom
+    deg = dom * (np.cumsum(size) - 1.0) + dom_size.sum() - np.cumsum(dom_size)
+    pos = np.arange(len(runs))
+    root = np.sqrt(size)
+    quotient = (1.0 - a) * dom[np.maximum.outer(pos, pos)] * np.outer(root, root)
+    quotient[pos, pos] = a * deg + (1.0 - a) * dom * (size - 1.0)
+    return float(np.linalg.eigh(quotient)[0][-1])
 
 
 @pytest.mark.parametrize("n", range(1, 12))
 def test_quotient_kernel_matches_dense_eigh(n):
-    # Every threshold graph: connected, with isolated vertices, and edgeless.
-    for g in all_threshold(n):
-        for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10)):
+    # Every threshold graph: connected, with isolated vertices, edgeless, n = 1.
+    graphs = list(all_threshold(n))
+    dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
+    for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
+        rho, _, residual = family_spectra(dom, alpha)
+        assert np.all(residual <= RESIDUAL_TOL)
+        for g, rho_batched in zip(graphs, rho):
             mat = alpha_matrix(to_labeled(g), alpha)
             vals, vecs = np.linalg.eigh(mat)
             spec = threshold_spectrum(g, alpha)
+            # Bit for bit: the batch, its one-graph call and the old per-graph solve.
+            assert rho_batched == spec.rho == lone_quotient_rho(g, alpha)
             assert abs(spec.rho - vals[-1]) <= 1e-12
             assert spec.residual <= 1e-10
             assert np.max(np.abs(mat @ spec.perron - spec.rho * spec.perron)) <= 1e-10

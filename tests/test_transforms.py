@@ -279,11 +279,13 @@ def rewired_labeled(g, spec):
     host = to_labeled(g)
     edges = set(host.edges)
     for u, v in spec.removals():
-        assert host.has_edge(u, v), (g.text, spec.text, "removed cell is not an edge")
-        edges.remove((min(u, v), max(u, v)))
+        cell = (min(u, v), max(u, v))
+        assert cell in host.edges, (g.text, spec.text, "removed cell is not an edge")
+        edges.remove(cell)
     for u, v in spec.additions():
-        assert not host.has_edge(u, v), (g.text, spec.text, "added cell is already an edge")
-        edges.add((min(u, v), max(u, v)))
+        cell = (min(u, v), max(u, v))
+        assert cell not in host.edges, (g.text, spec.text, "added cell is already an edge")
+        edges.add(cell)
     return LabeledGraph.from_edges(g.n, edges)
 
 
