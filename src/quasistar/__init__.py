@@ -45,10 +45,7 @@ from .spectra import (
     as_alpha,
     char_poly,
     largest_real_root,
-    perron_order_check,
-    q_upper_bound,
     quotient_matrix,
-    signless_laplacian_radius,
     spectral_radius,
     threshold_spectrum,
 )

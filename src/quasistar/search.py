@@ -9,8 +9,12 @@ of the batched kernel ``family_spectra``, with no graph object per member.
 
 General graphs are enumerated once per order (n <= 7) up to isomorphism by
 edge augmentation with canonical-form rejection; the canonical form of an
-edge-subset bitmask is its minimum over all vertex permutations, computed
-vectorized against a precomputed permutation/weight table.
+edge-subset bitmask is its minimum over all vertex permutations, one float32
+product of its edge bits with a precomputed permutation/weight table.  An
+``ALL`` family is scanned as one (B, n, n) adjacency stack built from those
+bitmasks: reachability by repeated boolean squaring marks the connected
+members, which ``dense_spectra`` solves in one call; disconnected members
+(only when ``connected_only`` is off) go through ``spectral_radius``.
 
 ``argmax_rho`` scans a family for the maximum spectral radius of
 alpha*D + (1-alpha)*A, reporting every maximizer within 1e-9 of the maximum,
@@ -42,7 +46,9 @@ from .graphs import (
 from .spectra import (
     HALF,
     RHO_COMPARE_TOL,
+    alpha_matrices,
     as_alpha,
+    dense_spectra,
     family_spectra,
     spectral_radius,
 )
@@ -112,8 +118,8 @@ def _creation(mask: int, n: int) -> tuple[str, ...]:
     return tuple(DOMINATING if mask >> i & 1 else ISOLATED for i in range(n))
 
 
-def _rows(masks: list[int], n: int) -> np.ndarray:
-    """The (len(masks), n) bool matrix of D positions of the given bitmasks."""
+def _rows(masks, n: int) -> np.ndarray:
+    """The (len(masks), n) bool matrix of the low n bits of the given bitmasks."""
     width = (n + 7) // 8
     raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8)
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
@@ -132,46 +138,38 @@ def enumerate_threshold(family: FamilySpec):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _pairs(n: int):
-    pairs = tuple(combinations(range(1, n + 1), 2))
-    return pairs, {pair: i for i, pair in enumerate(pairs)}
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Vertex pairs u < v of 1..n; pair i is bit i of an edge bitmask."""
+    return tuple(combinations(range(1, n + 1), 2))
 
 
 @lru_cache(maxsize=None)
 def _perm_weights(n: int) -> np.ndarray:
-    """Row per vertex permutation: weight 2^(image index) per edge slot.
+    """Row per vertex permutation: weight 2^(image slot) per edge slot.
 
-    A graph bitmask b maps under permutation row w to sum(w[e] for e in b);
-    all values stay below 2^21 so float64 arithmetic is exact.
+    A graph bitmask b maps under permutation row w to sum(w[e] for e in b).
+    Every image is below 2^21 (n <= 7), inside float32's 24-bit significand,
+    so the float32 table and its products are exact.
     """
-    pairs, index = _pairs(n)
-    perms = list(permutations(range(1, n + 1)))
-    weights = np.zeros((len(perms), len(pairs)))
-    for pi, perm in enumerate(perms):
-        for ei, (u, v) in enumerate(pairs):
-            x, y = perm[u - 1], perm[v - 1]
-            if x > y:
-                x, y = y, x
-            weights[pi, ei] = float(1 << index[(x, y)])
-    return weights
+    ends = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2) - 1
+    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    x, y = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
+    lo, hi = np.minimum(x, y).astype(np.int16), np.maximum(x, y).astype(np.int16)
+    # Pair (lo, hi), 0-based, is slot lo*(2n-1-lo)/2 + hi-lo-1 of combinations order.
+    slot = lo * (2 * n - 1 - lo) // 2 + hi - lo - 1
+    return np.ldexp(np.float32(1), slot)
 
 
-def _canonical_many(masks, n: int, chunk: int = 64) -> list[int]:
+def _canonical_many(masks, n: int, chunk: int = 128) -> list[int]:
     """Canonical form (minimum relabeling) of each bitmask in masks.
 
-    Chunks of 64 keep the (n! x chunk) float64 product at 2.6 MB for n = 7.
+    Chunks of 128 keep the (n! x chunk) float32 product at 2.6 MB for n = 7.
     """
-    pairs, _ = _pairs(n)
     weights = _perm_weights(n)
+    cols = _rows(masks, weights.shape[1]).T.astype(np.float32)
     out = []
     for lo in range(0, len(masks), chunk):
-        block = masks[lo : lo + chunk]
-        cols = np.zeros((len(pairs), len(block)))
-        for ci, mask in enumerate(block):
-            for ei in range(len(pairs)):
-                if mask >> ei & 1:
-                    cols[ei, ci] = 1.0
-        out.extend(int(v) for v in (weights @ cols).min(axis=0))
+        out.extend((weights @ cols[:, lo : lo + chunk]).min(axis=0).astype(np.int64).tolist())
     return out
 
 
@@ -180,22 +178,39 @@ def _graph_classes(n: int):
     """Canonical bitmasks of all isomorphism classes, indexed by edge count."""
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive enumeration limited to n <= {MAX_EXHAUSTIVE_N}")
-    total = n * (n - 1) // 2
+    bits = 1 << np.arange(n * (n - 1) // 2, dtype=np.int64)
     levels = [(0,)]
-    for m in range(1, total + 1):
-        batch = []
-        for g in levels[m - 1]:
-            for ei in range(total):
-                if not g >> ei & 1:
-                    batch.append(g | (1 << ei))
-        levels.append(tuple(sorted(set(_canonical_many(batch, n)))))
+    for _ in range(len(bits)):
+        prev = np.array(levels[-1], dtype=np.int64)[:, None]
+        grown = set((prev | bits)[prev & bits == 0].tolist())
+        levels.append(tuple(sorted(set(_canonical_many(list(grown), n)))))
     return tuple(levels)
 
 
+def _class_stack(n: int, m: int):
+    """The classes of size m: bitmasks, (B, n, n) adjacency and connectivity."""
+    masks = _graph_classes(n)[m]
+    ends = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2) - 1
+    edges = _rows(masks, len(ends))
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    adj[:, ends[:, 0], ends[:, 1]] = edges
+    adj[:, ends[:, 1], ends[:, 0]] = edges
+    return masks, adj, _connected(adj)
+
+
+def _connected(adj: np.ndarray) -> np.ndarray:
+    """Which graphs of a (B, n, n) bool adjacency stack are connected."""
+    n = adj.shape[-1]
+    # After t squarings, reach holds every pair joined by a walk of length
+    # <= 2^t, and 2^t >= n - 1 covers every path.
+    reach = adj | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach[:, 0].all(axis=1)
+
+
 def _labeled_from_mask(mask: int, n: int) -> LabeledGraph:
-    pairs, _ = _pairs(n)
-    edges = [pairs[ei] for ei in range(len(pairs)) if mask >> ei & 1]
-    return LabeledGraph.from_edges(n, edges)
+    return LabeledGraph.from_edges(n, (pair for ei, pair in enumerate(_pairs(n)) if mask >> ei & 1))
 
 
 def edge_key(g: LabeledGraph) -> str:
@@ -213,11 +228,10 @@ def enumerate_all(family: FamilySpec):
     """Yield one representative per isomorphism class of the ALL family."""
     if family.universe != ALL:
         raise ValueError("enumerate_all needs an ALL family")
-    for mask in _graph_classes(family.n)[family.m]:
-        g = _labeled_from_mask(mask, family.n)
-        if family.connected_only and not g.is_connected:
-            continue
-        yield g
+    masks, _, connected = _class_stack(family.n, family.m)
+    for mask, linked in zip(masks, connected.tolist()):
+        if linked or not family.connected_only:
+            yield _labeled_from_mask(mask, family.n)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +275,7 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     if family.universe == THRESHOLD:
         radii, near = _threshold_radii(family, alpha)
     else:
-        near = [(edge_key(g), spectral_radius(g, alpha).rho) for g in enumerate_all(family)]
-        radii = np.array([rho for _, rho in near])
+        radii, near = _all_radii(family, alpha)
     if not len(radii):
         raise ValueError(f"family {family} is empty")
     rho_max = float(radii.max())
@@ -300,6 +313,26 @@ def _threshold_radii(family: FamilySpec, alpha: Fraction):
         near.extend((mask, r) for mask, r in zip(chunk, rho.tolist()) if r >= top - RHO_COMPARE_TOL)
     texts = [("".join(_creation(mask, family.n)), r) for mask, r in near]
     return np.concatenate(radii), texts
+
+
+def _all_radii(family: FamilySpec, alpha: Fraction):
+    """Every radius of the ALL family, and (edge key, rho) for each maximizer.
+
+    Connected members are solved in one ``dense_spectra`` call; the others
+    are solved per component by ``spectral_radius``.
+    """
+    n = family.n
+    masks, adj, connected = _class_stack(n, family.m)
+    keep = connected | (not family.connected_only)
+    masks, adj, connected = [mask for mask, kept in zip(masks, keep) if kept], adj[keep], connected[keep]
+    radii = np.empty(len(masks))
+    if connected.any():
+        radii[connected] = dense_spectra(alpha_matrices(adj[connected], alpha))[0]
+    for i in (~connected).nonzero()[0]:
+        radii[i] = spectral_radius(_labeled_from_mask(masks[i], n), alpha).rho
+    top = radii.max() - RHO_COMPARE_TOL
+    return radii, [(edge_key(_labeled_from_mask(mask, n)), r)
+                   for mask, r in zip(masks, radii.tolist()) if r >= top]
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:

@@ -9,18 +9,22 @@ which interpolates between the adjacency matrix (alpha = 0) and half the
 signless Laplacian Q(G) = D(G) + A(G) (alpha = 1/2).  alpha stays an exact
 ``fractions.Fraction`` until matrix assembly so that alpha == 1/2 is exact.
 
-Dominant eigenpairs come from LAPACK's ``numpy.linalg.eigh``.  General graphs
-are solved densely per connected component.  Threshold graphs have one batched
-kernel, ``family_spectra``, on their run quotients: maximal runs of equal
-creation symbols (the first vertex joins the second's run; a trailing ``I``
-run is split off as isolated vertices) are twin classes, hence an equitable
-partition, so rho is the top eigenvalue of the symmetrised quotient and the
-Perron vector is constant on each run.  ``threshold_spectrum`` is its cached
-one-graph call.  Every pair is certified: the vector's sign makes its sum
-positive, no entry may be negative beyond rounding, and the infinity-norm
-residual of the full n-vector against M_alpha must stay below
-``RESIDUAL_TOL`` (for threshold graphs by an O(n) prefix-sum product in
-creation order).
+Dominant eigenpairs come from LAPACK's ``numpy.linalg.eigh``, in two
+batched kernels that each solve a whole stack with one stacked call.
+General graphs go through ``dense_spectra``: ``alpha_matrices`` assembles
+M_alpha for a (B, k, k) stack of adjacency matrices, and the kernel solves
+the stack.  ``alpha_matrix`` and ``spectral_radius`` are its one-graph
+callers; the latter solves each connected component as a stack of one and
+keeps the largest radius.  Threshold graphs have ``family_spectra``, on their
+run quotients: maximal runs of equal creation symbols (the first vertex joins
+the second's run; a trailing ``I`` run is split off as isolated vertices) are
+twin classes, hence an equitable partition, so rho is the top eigenvalue of
+the symmetrised quotient and the Perron vector is constant on each run.
+``threshold_spectrum`` is its cached one-graph call.  Every pair is
+certified: the vector's sign makes its sum positive, no entry may be
+negative beyond rounding, and the infinity-norm residual of the full
+n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for threshold
+graphs by an O(n) prefix-sum product in creation order).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import DOMINATING, LabeledGraph, ThresholdGraph, is_threshold
+from .graphs import DOMINATING, LabeledGraph, ThresholdGraph
 
 #: Bound on the infinity-norm eigen-residual of a returned pair, and on the
 #: rounding allowed below zero in its Perron entries.
@@ -69,18 +73,21 @@ def as_alpha(value) -> Fraction:
     return alpha
 
 
+def alpha_matrices(adj: np.ndarray, alpha) -> np.ndarray:
+    """alpha*D + (1-alpha)*A for each 0/1 adjacency matrix of a (..., k, k) stack."""
+    a = float(as_alpha(alpha))
+    mats = (1.0 - a) * adj
+    diag = np.arange(adj.shape[-1])
+    mats[..., diag, diag] = a * adj.sum(axis=-1)
+    return mats
+
+
 def alpha_matrix(g: LabeledGraph, alpha) -> np.ndarray:
     """Dense n x n matrix alpha*D + (1-alpha)*A for the given graph."""
-    a = float(as_alpha(alpha))
-    n = g.n
-    mat = np.zeros((n, n))
-    deg = g.degrees()
+    adj = np.zeros((g.n, g.n), dtype=bool)
     for u, v in g.edges:
-        mat[u - 1, v - 1] = 1.0 - a
-        mat[v - 1, u - 1] = 1.0 - a
-    for v in range(n):
-        mat[v, v] = a * deg[v]
-    return mat
+        adj[u - 1, v - 1] = adj[v - 1, u - 1] = True
+    return alpha_matrices(adj, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +106,6 @@ class Spectrum:
     residual: float
 
 
-def _top_eigenpair(mat: np.ndarray):
-    """Largest eigenvalue of a symmetric matrix and its eigenvector, sum >= 0."""
-    vals, vecs = np.linalg.eigh(mat)
-    vec = vecs[:, -1]
-    return float(vals[-1]), (vec if vec.sum() >= 0.0 else -vec)
-
-
 def _gate(worst: float, low: float) -> None:
     """Raise unless the largest residual and the least Perron entry are in bounds."""
     if not worst <= RESIDUAL_TOL:
@@ -114,8 +114,25 @@ def _gate(worst: float, low: float) -> None:
         raise NonConvergenceError(worst, detail=f"; Perron entry {low:.3e} is negative")
 
 
+def dense_spectra(mats: np.ndarray):
+    """Certified top eigenpairs of a (B, k, k) stack of symmetric matrices.
+
+    Returns radii and residuals of shape (B,) and unit vectors of shape
+    (B, k) with nonnegative sums; raises NonConvergenceError if any row fails
+    its certificate.  One stacked ``eigh`` solves each matrix exactly as a
+    lone call would, so each radius is bit for bit the one-matrix radius.
+    """
+    vals, vecs = np.linalg.eigh(mats)
+    rho = vals[:, -1]
+    top = vecs[:, :, -1]
+    top = np.where(top.sum(axis=1, keepdims=True) >= 0.0, top, -top)
+    residual = np.abs((mats @ top[:, :, None])[:, :, 0] - rho[:, None] * top).max(axis=1)
+    _gate(float(residual.max()), float(top.min()))
+    return rho, top, residual
+
+
 def spectral_radius(g: LabeledGraph, alpha) -> Spectrum:
-    """Spectral radius and Perron vector of M_alpha(g), by dense ``eigh``.
+    """Spectral radius and Perron vector of M_alpha(g), by ``dense_spectra``.
 
     Disconnected graphs are solved component by component and the radius is
     the maximum over components (ties go to the component containing the
@@ -125,16 +142,13 @@ def spectral_radius(g: LabeledGraph, alpha) -> Spectrum:
     best = None  # (rho, component indices, unit vector, residual)
     for comp in g.components():
         idx = np.array(comp) - 1
-        sub = mat[np.ix_(idx, idx)]
-        rho_c, vec_c = _top_eigenpair(sub)
-        res_c = float(np.max(np.abs(sub @ vec_c - rho_c * vec_c)))
-        if best is None or rho_c > best[0]:
-            best = (rho_c, idx, vec_c, res_c)
+        rho, vec, residual = dense_spectra(mat[np.ix_(idx, idx)][None])
+        if best is None or rho[0] > best[0]:
+            best = (float(rho[0]), idx, vec[0], float(residual[0]))
 
     rho, idx, vec, resid = best
     perron = np.zeros(g.n)
     perron[idx] = vec
-    _gate(resid, float(perron.min()))
     perron.setflags(write=False)
     return Spectrum(rho=rho, perron=perron, iterations=0, residual=resid)
 
@@ -214,28 +228,6 @@ def family_spectra(dom: np.ndarray, alpha: Fraction):
     residual = np.abs((a_deg - rho[:, None]) * x + (1.0 - a) * ax).max(axis=1)
     _gate(float(residual.max()), float(x.min()))
     return rho, x, residual
-
-
-def rho_of(g, alpha) -> float:
-    """Spectral radius as a float; accepts LabeledGraph or ThresholdGraph."""
-    if isinstance(g, ThresholdGraph):
-        return threshold_spectrum(g, alpha).rho
-    return spectral_radius(g, alpha).rho
-
-
-def signless_laplacian_radius(g) -> float:
-    """Largest eigenvalue q(G) of D + A, computed as 2 * rho_{1/2}(G)."""
-    return 2.0 * rho_of(g, HALF)
-
-
-def q_upper_bound(n: int, m: int) -> float:
-    """The bound 2m/(n-1) + n - 2 on q(G) for connected graphs.
-
-    Attained exactly by stars and complete graphs.
-    """
-    if n < 2:
-        raise ValueError("bound requires n >= 2")
-    return 2.0 * m / (n - 1) + n - 2
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +348,3 @@ def _largest_real(values: np.ndarray, empty: str) -> float:
     if not real:
         raise ArithmeticError(empty)
     return max(real)
-
-
-# ---------------------------------------------------------------------------
-# Perron-vector structure checks
-# ---------------------------------------------------------------------------
-
-def perron_order_check(g: LabeledGraph, alpha, tol: float = RHO_COMPARE_TOL):
-    """Neighborhood-containment and degree-order checks on the Perron vector.
-
-    Returns a list of violations, each a tuple (kind, u, v) with kind one of
-    ``"strict"`` (N(u)\\{v} strictly contains N(v)\\{u} but x_u is not larger
-    beyond tol), ``"equal"`` (equal punctured neighborhoods but entries differ
-    beyond tol), or ``"order"`` (threshold host whose entries are not
-    non-increasing along the degree-descending order).  An empty list means
-    every check passed.
-    """
-    if not g.is_connected:
-        raise ValueError("perron_order_check requires a connected graph")
-    spec = spectral_radius(g, alpha)
-    x = spec.perron
-    nbrs = g.neighbor_sets()
-    violations = []
-    for u in range(1, g.n + 1):
-        for v in range(u + 1, g.n + 1):
-            nu = nbrs[u] - {v}
-            nv = nbrs[v] - {u}
-            if nu == nv:
-                if abs(x[u - 1] - x[v - 1]) > tol:
-                    violations.append(("equal", u, v))
-            elif nu > nv:
-                if x[u - 1] - x[v - 1] <= tol:
-                    violations.append(("strict", u, v))
-            elif nv > nu:
-                if x[v - 1] - x[u - 1] <= tol:
-                    violations.append(("strict", v, u))
-    if is_threshold(g):
-        deg = g.degrees()
-        order = sorted(range(1, g.n + 1), key=lambda v: (-deg[v - 1], v))
-        for prev, nxt in zip(order, order[1:]):
-            if x[nxt - 1] > x[prev - 1] + tol:
-                violations.append(("order", prev, nxt))
-    return violations

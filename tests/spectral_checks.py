@@ -1,0 +1,67 @@
+"""Signless-Laplacian and Perron-structure checks used by criteria 4 and 7.
+
+No CLI verdict uses these, so they live with the tests that do.
+"""
+
+from quasistar.graphs import LabeledGraph, ThresholdGraph, is_threshold
+from quasistar.spectra import HALF, RHO_COMPARE_TOL, spectral_radius, threshold_spectrum
+
+
+def rho_of(g, alpha) -> float:
+    """Spectral radius as a float; accepts LabeledGraph or ThresholdGraph."""
+    if isinstance(g, ThresholdGraph):
+        return threshold_spectrum(g, alpha).rho
+    return spectral_radius(g, alpha).rho
+
+
+def signless_laplacian_radius(g) -> float:
+    """Largest eigenvalue q(G) of D + A, computed as 2 * rho_{1/2}(G)."""
+    return 2.0 * rho_of(g, HALF)
+
+
+def q_upper_bound(n: int, m: int) -> float:
+    """The bound 2m/(n-1) + n - 2 on q(G) for connected graphs.
+
+    Attained exactly by stars and complete graphs.
+    """
+    if n < 2:
+        raise ValueError("bound requires n >= 2")
+    return 2.0 * m / (n - 1) + n - 2
+
+
+def perron_order_check(g: LabeledGraph, alpha, tol: float = RHO_COMPARE_TOL):
+    """Neighborhood-containment and degree-order checks on the Perron vector.
+
+    Returns a list of violations, each a tuple (kind, u, v) with kind one of
+    ``"strict"`` (N(u)\\{v} strictly contains N(v)\\{u} but x_u is not larger
+    beyond tol), ``"equal"`` (equal punctured neighborhoods but entries differ
+    beyond tol), or ``"order"`` (threshold host whose entries are not
+    non-increasing along the degree-descending order).  An empty list means
+    every check passed.
+    """
+    if not g.is_connected:
+        raise ValueError("perron_order_check requires a connected graph")
+    spec = spectral_radius(g, alpha)
+    x = spec.perron
+    nbrs = g.neighbor_sets()
+    violations = []
+    for u in range(1, g.n + 1):
+        for v in range(u + 1, g.n + 1):
+            nu = nbrs[u] - {v}
+            nv = nbrs[v] - {u}
+            if nu == nv:
+                if abs(x[u - 1] - x[v - 1]) > tol:
+                    violations.append(("equal", u, v))
+            elif nu > nv:
+                if x[u - 1] - x[v - 1] <= tol:
+                    violations.append(("strict", u, v))
+            elif nv > nu:
+                if x[v - 1] - x[u - 1] <= tol:
+                    violations.append(("strict", v, u))
+    if is_threshold(g):
+        deg = g.degrees()
+        order = sorted(range(1, g.n + 1), key=lambda v: (-deg[v - 1], v))
+        for prev, nxt in zip(order, order[1:]):
+            if x[nxt - 1] > x[prev - 1] + tol:
+                violations.append(("order", prev, nxt))
+    return violations

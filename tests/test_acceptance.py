@@ -31,13 +31,11 @@ from quasistar.search import (
 from quasistar.spectra import (
     char_poly,
     largest_real_root,
-    perron_order_check,
-    q_upper_bound,
     quotient_matrix,
-    signless_laplacian_radius,
     threshold_spectrum,
 )
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
+from spectral_checks import perron_order_check, q_upper_bound, signless_laplacian_radius
 
 HALF = Fraction(1, 2)
 SWEEP_ALPHAS = (HALF, Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))

@@ -1,6 +1,7 @@
 """Family enumeration, extremal argmax, verification drivers, audits."""
 
 import functools
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from quasistar.graphs import (
+    LabeledGraph,
     from_creation_sequence,
     is_threshold,
     quasi_star,
@@ -31,6 +33,7 @@ from quasistar.search import (
     verify_clique_band,
     verify_sparse_band,
 )
+from quasistar.spectra import RHO_COMPARE_TOL, spectral_radius
 
 HALF = Fraction(1, 2)
 
@@ -157,6 +160,106 @@ def test_enumeration_is_complete_by_orbit_counting():
         assert len(reps) == KNOWN_CLASS_COUNTS[n]
         connected = [g for g in reps if g.is_connected]
         assert len(connected) == KNOWN_CONNECTED_COUNTS[n]
+
+
+# sha256 of repr(_graph_classes(n)), taken from the float64 table and the
+# per-bit column loop that the float32 product replaced.
+PINNED_CLASS_DIGESTS = {
+    1: "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b",
+    2: "7b0d574730ade655e7410b09ecdb1fb6d94c828aa7f38657aa188e838149cee9",
+    3: "40cc5f9fe014b14ba06e9da50bccef952872839448aa575f205f62690fa94282",
+    4: "e6f5a4407c3a6d8626db666be7c4fc0d24b90846e0e6041fd580161fee25dbc7",
+    5: "81899c374c0c5b8a81afd2565f8c67e709b85edb4749c98841ccb405763d5941",
+    6: "51726f95285d8db813d9f5c408f0a2baaa4d60e078d2b875b3c4a8546eae4728",
+    7: "6e0b4266f267313373e346d6801b3c476a08143a3c4f3295d561dfe72d1df77e",
+}
+
+
+def test_graph_classes_match_pinned_digest():
+    # Every class representative, hence every edge_key printed, is unchanged.
+    for n, digest in PINNED_CLASS_DIGESTS.items():
+        assert hashlib.sha256(repr(search._graph_classes(n)).encode()).hexdigest() == digest
+
+
+def test_perm_weights_are_exact_in_float32():
+    for n in range(1, 8):
+        weights = search._perm_weights(n)
+        assert weights.dtype == np.float32 and weights.shape == (math.factorial(n), n * (n - 1) // 2)
+    # Every image mask is a sum of distinct weights, so it is below 2^21.
+    assert search._perm_weights(7).max() < 2**24
+    assert np.all(search._perm_weights(7).astype(np.int64).sum(axis=1) < 2**21)
+
+
+def permutation_minimum(mask: int, n: int) -> int:
+    """Reference canonical form: the least image of mask over all n! relabelings."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    edges = [pair for i, pair in enumerate(pairs) if mask >> i & 1]
+    return min(
+        sum(1 << index[tuple(sorted((p[u], p[v])))] for u, v in edges)
+        for p in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize("n, count", [(6, 40), (7, 10)])
+def test_canonical_many_matches_permutation_minimum(n, count):
+    top = n * (n - 1) // 2
+    rng = np.random.default_rng(7 * n)
+    masks = [0, (1 << top) - 1] + rng.integers(0, 1 << top, size=count).tolist()
+    expected = [permutation_minimum(mask, n) for mask in masks]
+    assert search._canonical_many(masks, n) == expected
+    assert search._canonical_many(masks, n, chunk=3) == expected
+
+
+def test_vectorised_connectivity_matches_components():
+    # Every labeled graph with n <= 5, and every labeled path with n <= 7:
+    # the paths include those whose vertex 1 is an end, at distance n - 1.
+    for n in range(1, 8):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        if n <= 5:
+            graphs = [
+                LabeledGraph.from_edges(n, (pair for i, pair in enumerate(pairs) if mask >> i & 1))
+                for mask in range(1 << len(pairs))
+            ]
+        else:
+            graphs = [LabeledGraph.from_edges(n, zip(p, p[1:])) for p in itertools.permutations(range(1, n + 1))]
+        adj = np.zeros((len(graphs), n, n), dtype=bool)
+        for b, g in enumerate(graphs):
+            for u, v in g.edges:
+                adj[b, u - 1, v - 1] = adj[b, v - 1, u - 1] = True
+        assert search._connected(adj).tolist() == [g.is_connected for g in graphs]
+
+
+def per_graph_argmax(family: FamilySpec, alpha):
+    """Reference: the per-graph ``spectral_radius`` loop the batched ALL scan replaced."""
+    near = []
+    for mask in search._graph_classes(family.n)[family.m]:
+        g = search._labeled_from_mask(mask, family.n)
+        if family.connected_only and not g.is_connected:
+            continue
+        near.append((edge_key(g), spectral_radius(g, alpha).rho))
+    radii = np.array([rho for _, rho in near])
+    rho_max = float(radii.max())
+    maximizers = tuple(sorted(key for key, rho in near if rho >= rho_max - RHO_COMPARE_TOL))
+    outside = radii[radii < rho_max - RHO_COMPARE_TOL]
+    tie_gap = rho_max - float(outside.max()) if len(outside) else float("inf")
+    return rho_max, tie_gap, maximizers
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+@pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(3, 4)])
+def test_batched_all_scan_matches_per_graph_solve(alpha, connected_only):
+    disconnected_maximizers = 0
+    for n in range(1, 7):
+        for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
+            family = FamilySpec(n, m, connected_only=connected_only, universe=ALL)
+            report = argmax_rho(family, alpha)
+            assert (report.rho_max, report.tie_gap, report.maximizer_set) == per_graph_argmax(family, alpha)
+            disconnected_maximizers += sum(
+                not search._from_edge_key(key, n).is_connected for key in report.maximizer_set
+            )
+    # Without connected_only the fallback path decides families such as K_5 u K_1.
+    assert (disconnected_maximizers > 0) == (not connected_only)
 
 
 def test_threshold_classes_inside_all_match_threshold_enumeration():

@@ -13,7 +13,7 @@ from quasistar.graphs import (
     to_labeled,
 )
 from quasistar import spectra
-from quasistar.search import FamilySpec, argmax_rho
+from quasistar.search import ALL, THRESHOLD, FamilySpec, argmax_rho
 from quasistar.spectra import (
     RESIDUAL_TOL,
     NonConvergenceError,
@@ -22,13 +22,11 @@ from quasistar.spectra import (
     char_poly,
     family_spectra,
     largest_real_root,
-    perron_order_check,
-    q_upper_bound,
     quotient_matrix,
-    signless_laplacian_radius,
     spectral_radius,
     threshold_spectrum,
 )
+from spectral_checks import perron_order_check, q_upper_bound, signless_laplacian_radius
 
 HALF = Fraction(1, 2)
 ALPHAS = [Fraction(0), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(9, 10)]
@@ -202,9 +200,10 @@ def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
     for err in (dense, quotient):
         assert err.value.residual > RESIDUAL_TOL
         assert err.value.residual == pytest.approx(1e-6 * float(np.max(x_dense)), rel=1e-6)
-    with pytest.raises(NonConvergenceError, match="did not converge") as scan:
-        argmax_rho(FamilySpec(6, 10), alpha)
-    assert scan.value.residual > RESIDUAL_TOL
+    for universe in (THRESHOLD, ALL):
+        with pytest.raises(NonConvergenceError, match="did not converge") as scan:
+            argmax_rho(FamilySpec(6, 10, universe=universe), alpha)
+        assert scan.value.residual > RESIDUAL_TOL
 
 
 def test_perron_sign_is_normalised(monkeypatch):
