@@ -39,13 +39,10 @@ from .search import (
 )
 from .spectra import (
     NonConvergenceError,
-    QuotientMatrix,
     Spectrum,
     alpha_matrix,
     as_alpha,
     char_poly,
-    largest_real_root,
-    quotient_matrix,
     spectral_radius,
     threshold_spectrum,
 )

@@ -11,10 +11,11 @@ Verification reports are emitted one record per line in a fixed field order::
     family=H,n=6,m=8,alpha=1/2 rho=<...> maximizers=<seq;seq> tie_gap=<...> ok=1
 
 and the exit code is 0 when every record verified, 1 on a mismatch, 2 on a
-usage error, and 3 on numerical non-convergence.  All output is produced by a
-single writer after the scan has finished, so repeated runs are
-byte-identical.  ``--threads`` is accepted and ignored: scans run on one
-thread, which measured faster than a GIL-bound thread pool.
+usage error (a sweep that selects no family is one), and 3 on numerical
+non-convergence.  All output is produced by a single writer after the scan
+has finished, so repeated runs are byte-identical.  ``--threads`` is accepted
+and ignored: scans run on one thread, which measured faster than a GIL-bound
+thread pool.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def _cmd_verify(args) -> int:
                     reports.append(threshold_dominance_report(n, m, alpha))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown verification target {args.target!r}")
+    if not reports:
+        raise ValueError(f"verify {args.target}: the sweep selects no family, nothing was checked")
 
     ok = True
     for report in reports:

@@ -25,6 +25,9 @@ certified: the vector's sign makes its sum positive, no entry may be
 negative beyond rounding, and the infinity-norm residual of the full
 n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for threshold
 graphs by an O(n) prefix-sum product in creation order).
+
+Besides the two kernels the module holds only ``char_poly``, the exact
+characteristic polynomial of a small rational matrix such as a run quotient.
 """
 
 from __future__ import annotations
@@ -230,77 +233,6 @@ def family_spectra(dom: np.ndarray, alpha: Fraction):
     return rho, x, residual
 
 
-# ---------------------------------------------------------------------------
-# Quotient matrices over vertex partitions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Block-average row sums of a symmetric matrix over a vertex partition.
-
-    ``entries[i][j]`` is the average over rows in block i of the row sums of
-    the (i, j) block.  The partition is equitable when each of those row sums
-    is constant on its block, in which case the largest eigenvalue of
-    ``entries`` equals the largest eigenvalue of the partitioned matrix
-    (nonnegative irreducible case).
-    """
-
-    partition: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[Fraction, ...], ...]
-    equitable: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
-
-    def largest_eigenvalue(self) -> float:
-        return _largest_real(np.linalg.eigvals(self.as_array()), "no real eigenvalue found")
-
-
-def quotient_matrix(matrix, partition) -> QuotientMatrix:
-    """Quotient of a square matrix over a partition of vertices 1..n.
-
-    Entries are computed exactly (as Fractions) when the matrix is integral,
-    so downstream characteristic polynomials come out with exact
-    coefficients.  The equitable flag is exact in the integral case and uses
-    a 1e-9 tolerance otherwise.
-    """
-    mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    n = mat.shape[0]
-    blocks = tuple(tuple(sorted(set(int(v) for v in blk))) for blk in partition)
-    flat = [v for blk in blocks for v in blk]
-    if not blocks or any(not blk for blk in blocks):
-        raise ValueError("partition blocks must be non-empty")
-    if sorted(flat) != list(range(1, n + 1)):
-        raise ValueError(f"partition must cover vertices 1..{n} disjointly")
-
-    integral = bool(np.all(np.isfinite(mat)) and np.all(mat == np.round(mat)))
-    entries = []
-    equitable = True
-    for bi in blocks:
-        row_entries = []
-        for bj in blocks:
-            sums = [mat[v - 1, [w - 1 for w in bj]].sum() for v in bi]
-            if integral:
-                sums = [int(round(s)) for s in sums]
-                avg = Fraction(sum(sums), len(bi))
-                if any(Fraction(s) != avg for s in sums):
-                    equitable = False
-            else:
-                avg_f = float(sum(sums)) / len(bi)
-                if any(abs(s - avg_f) > 1e-9 * max(1.0, abs(avg_f)) for s in sums):
-                    equitable = False
-                avg = Fraction(avg_f)
-            row_entries.append(avg)
-        entries.append(tuple(row_entries))
-    return QuotientMatrix(blocks, tuple(entries), equitable)
-
-
 def char_poly(matrix) -> list[Fraction]:
     """Monic characteristic polynomial det(xI - M), descending coefficients.
 
@@ -308,10 +240,7 @@ def char_poly(matrix) -> list[Fraction]:
     inputs give exact integer coefficients, at any size: with M_0 = 0,
     M_j = M M_{j-1} + c_{j-1} I and c_j = -tr(M M_j) / j.
     """
-    if isinstance(matrix, QuotientMatrix):
-        rows = [list(row) for row in matrix.entries]
-    else:
-        rows = [[_to_fraction(x) for x in row] for row in matrix]
+    rows = [[_to_fraction(x) for x in row] for row in matrix]
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise ValueError("matrix must be square and non-empty")
@@ -331,20 +260,3 @@ def _to_fraction(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     return Fraction(float(x))
-
-
-def largest_real_root(coeffs) -> float:
-    """Largest real root of a polynomial given by descending coefficients."""
-    return _largest_real(np.roots([float(c) for c in coeffs]), "polynomial has no real root")
-
-
-def _largest_real(values: np.ndarray, empty: str) -> float:
-    """Largest real part among values with |imag| <= 1e-8 * max(1, max |value|).
-
-    Raises ArithmeticError(empty) when no value passes.
-    """
-    scale = max(1.0, float(np.max(np.abs(values))))
-    real = [v.real for v in values if abs(v.imag) <= 1e-8 * scale]
-    if not real:
-        raise ArithmeticError(empty)
-    return max(real)

@@ -48,9 +48,6 @@ from .spectra import HALF, RHO_COMPARE_TOL, as_alpha, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
 
-#: Tolerance for the eigenvector-identity residuals.
-EQ_RESIDUAL_TOL = 1e-8
-
 
 class InvalidTransformError(ValueError):
     """The rewiring is not applicable to the given host graph."""

@@ -10,6 +10,7 @@ import itertools
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quasistar.graphs import (
@@ -28,12 +29,7 @@ from quasistar.search import (
     verify_clique_band,
     verify_sparse_band,
 )
-from quasistar.spectra import (
-    char_poly,
-    largest_real_root,
-    quotient_matrix,
-    threshold_spectrum,
-)
+from quasistar.spectra import alpha_matrix, char_poly, threshold_spectrum
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
 from spectral_checks import perron_order_check, q_upper_bound, signless_laplacian_radius
 
@@ -130,51 +126,50 @@ def test_criterion_4_signless_laplacian_families():
     start = time.perf_counter()
     checked = 0
     for n in range(4, 101):
-        q = signless_laplacian_radius(quasi_star(n, 2 * n - 2))
-        assert q >= n + 1.6
+        g = quasi_star(n, 2 * n - 2)
         formula = [[n, 2, n - 4], [2, 4, 0], [2, 0, 2]]
         coeffs = char_poly(formula)
         assert coeffs == [1, -n - 6, 4 * n + 12, -24]
-        assert abs(largest_real_root(coeffs) - q) <= EQ_TOL
-        if n >= 5:
-            quo = quotient_matrix(_q_matrix(quasi_star(n, 2 * n - 2)),
-                                  [{1, 2}, {3, 4}, set(range(5, n + 1))])
-            assert quo.equitable
-            assert quo.as_array().tolist() == [[float(x) for x in row] for row in formula]
-            assert abs(quo.largest_eigenvalue() - q) <= EQ_TOL
+        _check_q(g, n + 1.6, coeffs, formula, [[1, 2], [3, 4], range(5, n + 1)] if n >= 5 else None)
         checked += 1
 
     # The second family needs 2n-1 <= n(n-1)/2, so it starts at n = 5.
     with pytest.raises(ValueError):
         quasi_star(4, 7)
     for n in range(5, 101):
-        q = signless_laplacian_radius(quasi_star(n, 2 * n - 1))
-        assert q >= n + 1.75
+        g = quasi_star(n, 2 * n - 1)
         formula = [[n, 1, 2, n - 5], [2, 4, 2, 0], [2, 1, 3, 0], [2, 0, 0, 2]]
         coeffs = char_poly(formula)
         assert coeffs == [1, -n - 9, 7 * n + 28, -10 * n - 64, 72]
-        assert abs(largest_real_root(coeffs) - q) <= EQ_TOL
-        if n >= 6:
-            quo = quotient_matrix(_q_matrix(quasi_star(n, 2 * n - 1)),
-                                  [{1, 2}, {3}, {4, 5}, set(range(6, n + 1))])
-            assert quo.equitable
-            assert quo.as_array().tolist() == [[float(x) for x in row] for row in formula]
-            assert abs(quo.largest_eigenvalue() - q) <= EQ_TOL
+        _check_q(g, n + 1.75, coeffs, formula,
+                 [[1, 2], [3], [4, 5], range(6, n + 1)] if n >= 6 else None)
         checked += 1
     elapsed = time.perf_counter() - start
     announce(4, True, f"{checked} (n, family) bound/quotient/polynomial checks, {elapsed:.1f}s")
 
 
-def _q_matrix(g):
-    import numpy as np
+def _check_q(g, lower, coeffs, formula, partition):
+    """Criterion 4's checks on one family member g.
 
+    q(g) >= lower on the full matrix; the top root of ``coeffs`` equals q and
+    2 * rho of the threshold kernel's run quotient; unless ``partition``
+    (1-based blocks) is None, it is equitable on Q = D + A with quotient
+    ``formula``.
+    """
     lab = to_labeled(g)
-    deg = lab.degrees()
-    mat = np.diag([float(d) for d in deg])
-    for u, v in lab.edges:
-        mat[u - 1, v - 1] = 1.0
-        mat[v - 1, u - 1] = 1.0
-    return mat
+    q = signless_laplacian_radius(lab)
+    assert q >= lower
+    # All roots are real: the quotient is similar to a symmetric matrix.
+    root = np.roots([float(c) for c in coeffs]).real.max()
+    assert abs(root - q) <= EQ_TOL
+    assert abs(root - 2 * threshold_spectrum(g, HALF).rho) <= EQ_TOL
+    if partition is None:
+        return
+    mat = 2 * alpha_matrix(lab, HALF)  # exact: entries are integers
+    blocks = [np.array(blk) - 1 for blk in partition]
+    for bi, row in zip(blocks, formula):
+        for bj, entry in zip(blocks, row):
+            assert (mat[np.ix_(bi, bj)].sum(axis=1) == entry).all()
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,17 @@ def test_verify_usage_error(capsys):
     assert code == 2 and "--r" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "t42", "--r", "3", "--n", "3"),  # the band has no edge count at n = 3
+    ("verify", "t41", "--n", "6", "--alpha", ","),
+    ("verify", "lemma24", "--n", "4", "--alpha", ","),
+])
+def test_verify_empty_sweep_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "selects no family" in err
+
+
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------

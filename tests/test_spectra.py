@@ -1,4 +1,4 @@
-"""Matrix assembly, dominant eigenpairs, quotient matrices, Perron structure."""
+"""Matrix assembly, dominant eigenpairs, characteristic polynomials, Perron structure."""
 
 import itertools
 from fractions import Fraction
@@ -21,8 +21,6 @@ from quasistar.spectra import (
     as_alpha,
     char_poly,
     family_spectra,
-    largest_real_root,
-    quotient_matrix,
     spectral_radius,
     threshold_spectrum,
 )
@@ -111,7 +109,7 @@ def test_star_half_radius_is_n_over_2():
         assert spectral_radius(star, HALF).rho == pytest.approx(n / 2, abs=1e-9)
 
 
-def test_power_iteration_matches_dense_eigensolver():
+def test_dense_radius_matches_eigvalsh():
     # Independent oracle: symmetric dense eigensolver on the same matrices.
     for g in all_threshold(6):
         lab = to_labeled(g)
@@ -317,59 +315,8 @@ def test_q_bound_holds_on_connected_threshold_graphs():
 
 
 # ---------------------------------------------------------------------------
-# Quotient matrices and characteristic polynomials
+# Characteristic polynomials
 # ---------------------------------------------------------------------------
-
-def q_matrix(g: LabeledGraph) -> np.ndarray:
-    deg = g.degrees()
-    mat = np.diag([float(d) for d in deg])
-    for u, v in g.edges:
-        mat[u - 1, v - 1] = 1.0
-        mat[v - 1, u - 1] = 1.0
-    return mat
-
-
-def test_quotient_of_2n_minus_2_family():
-    n = 10
-    mat = q_matrix(to_labeled(quasi_star(n, 2 * n - 2)))
-    quo = quotient_matrix(mat, [{1, 2}, {3, 4}, set(range(5, n + 1))])
-    assert quo.equitable
-    assert quo.as_array().tolist() == [[n, 2, n - 4], [2, 4, 0], [2, 0, 2]]
-    q = signless_laplacian_radius(quasi_star(n, 2 * n - 2))
-    assert quo.largest_eigenvalue() == pytest.approx(q, abs=1e-8)
-
-
-def test_quotient_of_2n_minus_1_family():
-    n = 10
-    mat = q_matrix(to_labeled(quasi_star(n, 2 * n - 1)))
-    quo = quotient_matrix(mat, [{1, 2}, {3}, {4, 5}, set(range(6, n + 1))])
-    assert quo.equitable
-    assert quo.as_array().tolist() == [
-        [n, 1, 2, n - 5], [2, 4, 2, 0], [2, 1, 3, 0], [2, 0, 0, 2]]
-    q = signless_laplacian_radius(quasi_star(n, 2 * n - 1))
-    assert quo.largest_eigenvalue() == pytest.approx(q, abs=1e-8)
-
-
-def test_identity_partition_is_equitable():
-    mat = q_matrix(to_labeled(quasi_star(5, 7)))
-    quo = quotient_matrix(mat, [{v} for v in range(1, 6)])
-    assert quo.equitable
-    assert np.allclose(quo.as_array(), mat)
-
-
-def test_unbalanced_partition_flagged_not_equitable():
-    mat = q_matrix(to_labeled(quasi_star(6, 10)))
-    quo = quotient_matrix(mat, [{1, 3}, {2, 4}, {5, 6}])
-    assert not quo.equitable
-
-
-def test_quotient_partition_errors():
-    mat = np.eye(4)
-    with pytest.raises(ValueError):
-        quotient_matrix(mat, [{1, 2}, {2, 3, 4}])  # overlap
-    with pytest.raises(ValueError):
-        quotient_matrix(mat, [{1, 2}])  # not covering
-
 
 def test_char_poly_2n_minus_2_coefficients():
     for n in (6, 10, 37):
@@ -386,14 +333,6 @@ def test_char_poly_2n_minus_1_coefficients():
 def test_char_poly_1x1_and_7x7():
     assert char_poly([[Fraction(7, 2)]]) == [1, Fraction(-7, 2)]
     assert char_poly(np.zeros((7, 7))) == [1] + [0] * 7
-
-
-def test_largest_real_root_matches_eigenvalue():
-    for n in (5, 12, 60):
-        mat = [[n, 2, n - 4], [2, 4, 0], [2, 0, 2]]
-        root = largest_real_root(char_poly(mat))
-        lam = quotient_matrix(np.array(mat, dtype=float), [{1}, {2}, {3}]).largest_eigenvalue()
-        assert root == pytest.approx(lam, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
