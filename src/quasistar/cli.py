@@ -92,7 +92,8 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_alphas(text: str):
-    return [as_alpha(tok) for tok in text.split(",") if tok.strip()]
+    """Distinct alphas in first-seen order: ``1/2,0.5`` is one value."""
+    return list(dict.fromkeys(as_alpha(tok) for tok in text.split(",") if tok.strip()))
 
 
 def _emit_graph(g: ThresholdGraph) -> None:

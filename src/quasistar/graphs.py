@@ -24,8 +24,8 @@ Graphs and Related Topics*, ch. 1): a vertex whose degree is one less than the
 number of vertices left is dominating in every realization, and a vertex of
 degree 0 is isolated in every one.  So a labeled graph is threshold exactly
 when its sorted degrees peel, and the peel is its creation sequence.
-``from_degree_sequence`` is that peel; ``threshold_from_labeled`` and
-``is_threshold`` go through it.
+``from_degree_sequence`` is that peel, one O(n) pass from both ends of the
+sorted list; ``threshold_from_labeled`` and ``is_threshold`` go through it.
 
 Families provided here, for n vertices and m edges:
 
@@ -233,46 +233,33 @@ def threshold_from_labeled(g: LabeledGraph) -> ThresholdGraph:
 def from_degree_sequence(degrees) -> ThresholdGraph:
     """The unique threshold graph with the given non-increasing degree sequence.
 
-    Validates by the peel reduction: strip a dominating vertex when the top
-    degree equals (remaining count - 1), else an isolated vertex when the
-    bottom degree is 0.  The error message reports the first stuck step.
+    Peels from both ends, with ``taken`` dominating vertices removed so far:
+    the bottom vertex is isolated when its degree equals ``taken``, else the
+    top vertex is dominating when its remaining degree equals the number of
+    other vertices left, else the reduction is stuck.  Every peeled vertex
+    has exactly its listed degree in the graph the peel builds, so a
+    sequence that peels is realized and needs no separate range check.
     """
     d = [int(x) for x in degrees]
     if not d:
         raise ValueError("degree sequence must be non-empty")
     if any(d[i] < d[i + 1] for i in range(len(d) - 1)):
         raise ValueError(f"degree sequence must be non-increasing, got {tuple(d)}")
-    if d[0] > len(d) - 1 or d[-1] < 0:
-        raise NotThresholdError(f"degrees out of range for {len(d)} vertices: {tuple(d)}")
-    work = list(d)
     reversed_syms = []
-    step = 0
-    while work:
-        count = len(work)
-        if count == 1:
-            if work[0] != 0:
-                raise NotThresholdError(
-                    f"reduction stuck at step {step}: single vertex left with degree {work[0]}"
-                )
+    lo, hi, taken = 0, len(d) - 1, 0
+    while lo <= hi:
+        if d[hi] == taken:
             reversed_syms.append(ISOLATED)
-            break
-        if work[0] == count - 1:
-            if work[-1] == 0:
-                raise NotThresholdError(
-                    f"reduction stuck at step {step}: degrees {tuple(work)} need a vertex "
-                    "that is both adjacent and non-adjacent to an isolated one"
-                )
-            work = [x - 1 for x in work[1:]]
+            hi -= 1
+        elif d[lo] - taken == hi - lo:
             reversed_syms.append(DOMINATING)
-        elif work[-1] == 0:
-            work.pop()
-            reversed_syms.append(ISOLATED)
+            lo += 1
+            taken += 1
         else:
             raise NotThresholdError(
-                f"reduction stuck at step {step}: remaining degrees {tuple(work)} "
-                "have no dominating or isolated vertex"
+                f"reduction stuck at step {len(reversed_syms)}: remaining degrees "
+                f"{tuple(x - taken for x in d[lo:hi + 1])} have no dominating or isolated vertex"
             )
-        step += 1
     return ThresholdGraph(len(d), tuple(reversed(reversed_syms)))
 
 

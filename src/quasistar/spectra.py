@@ -67,12 +67,19 @@ def as_alpha(value) -> Fraction:
     Accepts Fraction (returned as is), int, or a string such as ``"1/2"`` or
     ``"0.75"`` (the decimal is converted to the exact rational of its literal
     digits).  Floats are rejected to keep the alpha = 1/2 equality test exact.
+    A zero denominator, and an alpha below 1 whose float is 1.0 (matrix
+    assembly would drop A entirely), raise ValueError.
     """
     if isinstance(value, float):
         raise TypeError("alpha must be an exact rational (Fraction, int, or string), not float")
-    alpha = value if isinstance(value, Fraction) else Fraction(value)
+    try:
+        alpha = value if isinstance(value, Fraction) else Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"alpha has a zero denominator: {value!r}") from None
     if not 0 <= alpha < 1:
         raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
+    if float(alpha) == 1.0:
+        raise ValueError(f"alpha {alpha} is below 1 but rounds to 1.0 as a float, so 1 - alpha would be 0")
     return alpha
 
 

@@ -12,6 +12,9 @@ l >= 0:
 * ``COL (p, q; h, k; l)``          removes the vertical strip
   (h, k)...(h-l, k) and fills (p, q)...(p, q-l).
 
+The corner move is the width-0 strip: BASIC has COL's index shape at l = 0
+and the same cells, and ``_fits`` states all three shapes once.
+
 Validation is one rule for all three kinds.  In the stepwise matrix every
 neighborhood is a prefix (``graphs.stepwise_row``), and nested neighborhoods
 are exactly what makes a graph threshold, so the paper's conditions (ii) and
@@ -53,15 +56,22 @@ class InvalidTransformError(ValueError):
     """The rewiring is not applicable to the given host graph."""
 
 
+def _fits(kind: str, p: int, q: int, h: int, k: int, l: int) -> bool:
+    """The index shape of a move; BASIC is the width-0 COL shape."""
+    if kind == "ROW":
+        return 1 <= q < k <= k + l < h < p - l
+    return 2 <= q - l <= q < k < h - l <= h < p and (kind == "COL" or l == 0)
+
+
 @dataclass(frozen=True)
 class TransformSpec:
     """One rewiring: kind, stepwise indices (p, q; h, k), and width l.
 
-    Index shape constraints (checked at construction):
+    Index shapes, checked at construction by ``_fits``:
 
-    * BASIC: l = 0 and 2 <= q < k < h < p
-    * ROW:   q < k <= k+l < h < p-l
+    * ROW:   1 <= q < k <= k+l < h < p-l
     * COL:   2 <= q-l <= q < k < h-l <= h < p
+    * BASIC: COL with l = 0, so 2 <= q < k < h < p
     """
 
     kind: str
@@ -74,18 +84,8 @@ class TransformSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.l < 0:
-            raise ValueError("width l must be nonnegative")
         p, q, h, k, l = self.p, self.q, self.h, self.k, self.l
-        if self.kind == "BASIC":
-            if l != 0:
-                raise ValueError("BASIC rewiring has width 0")
-            ok = 2 <= q < k < h < p
-        elif self.kind == "ROW":
-            ok = 1 <= q < k and k + l < h < p - l
-        else:  # COL
-            ok = 2 <= q - l and q < k < h - l and h < p
-        if not ok:
+        if not _fits(self.kind, p, q, h, k, l):
             raise ValueError(f"indices violate the {self.kind} shape: p={p} q={q} h={h} k={k} l={l}")
 
     @property
@@ -108,15 +108,11 @@ class TransformSpec:
         raise ValueError(f"bad rewiring spec {text!r}; expected 'BASIC p q h k' or 'ROW|COL p q h k l'")
 
     def removals(self) -> list[tuple[int, int]]:
-        if self.kind == "BASIC":
-            return [(self.k, self.h)]
         if self.kind == "ROW":
             return [(self.k + j, self.h) for j in range(self.l + 1)]
         return [(self.k, self.h - j) for j in range(self.l + 1)]
 
     def additions(self) -> list[tuple[int, int]]:
-        if self.kind == "BASIC":
-            return [(self.q, self.p)]
         if self.kind == "ROW":
             return [(self.q, self.p - j) for j in range(self.l + 1)]
         return [(self.q - j, self.p) for j in range(self.l + 1)]
@@ -332,31 +328,17 @@ def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertif
 
 
 def candidate_specs(n: int, kind: str, dk: int = 1):
-    """All shape-valid specs of one kind with k - q = dk on n vertices.
+    """All shape-valid specs of one kind with k - q = dk on n vertices, in (q, l, h, p) order.
 
     Host-independent; pair with :func:`validate` to find the applicable ones.
     """
-    if kind == "BASIC":
-        for q in range(2, n + 1):
-            k = q + dk
-            for h in range(k + 1, n + 1):
-                for p in range(h + 1, n + 1):
-                    yield TransformSpec("BASIC", p, q, h, k)
-    elif kind == "ROW":
-        for q in range(1, n + 1):
-            k = q + dk
-            for l in range(0, n):
-                if k + l + 1 > n:
-                    break
-                for h in range(k + l + 1, n + 1):
-                    for p in range(h + l + 1, n + 1):
-                        yield TransformSpec("ROW", p, q, h, k, l)
-    elif kind == "COL":
-        for q in range(2, n + 1):
-            k = q + dk
-            for l in range(0, q - 1):
-                for h in range(k + l + 1, n + 1):
-                    for p in range(h + 1, n + 1):
-                        yield TransformSpec("COL", p, q, h, k, l)
-    else:
+    if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    box = range(1, n + 1)
+    for q in box:
+        for l in range(n):
+            # p only bounds the shape from above: if p = n does not fit, no p does.
+            for h in (h for h in box if _fits(kind, n, q, h, q + dk, l)):
+                for p in box:
+                    if _fits(kind, p, q, h, q + dk, l):
+                        yield TransformSpec(kind, p, q, h, q + dk, l)

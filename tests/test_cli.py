@@ -86,6 +86,15 @@ def test_rho_bad_alpha(capsys):
     assert code == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("alpha", ["1/0", "0.99999999999999999999"])
+@pytest.mark.parametrize("argv", [("rho", "IDD"), ("verify", "t41", "--n", "5", "--alpha")])
+def test_unusable_alpha_is_usage_error(capsys, argv, alpha):
+    # 1/0 has no value; the long decimal is below 1 but its float is 1.0.
+    code, out, err = run(capsys, *argv, alpha)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and ("zero denominator" in err or "rounds to 1.0" in err)
+
+
 def test_rho_bad_graph_token(capsys):
     code, _, err = run(capsys, "rho", "no-such-file.txt", "1/2")
     assert code == 2 and err.startswith("error:")
@@ -187,6 +196,14 @@ def test_verify_lemma24_exit_code(capsys):
     )
     assert code == 0
     assert all(line.endswith("ok=1") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("alphas", ["1/2,1/2", "1/2,0.5"])
+def test_verify_repeated_alpha_is_checked_once(capsys, alphas):
+    code, out, _ = run(capsys, "--format", "structured", "verify", "t41", "--n", "5", "--alpha", alphas)
+    assert code == 0
+    assert out == run(capsys, "--format", "structured", "verify", "t41", "--n", "5", "--alpha", "1/2")[1]
+    assert len(out.splitlines()) == 5
 
 
 def test_verify_usage_error(capsys):

@@ -286,6 +286,20 @@ def test_from_degree_sequence_failures_report_step():
         from_degree_sequence((5, 1, 1))  # out of range
 
 
+def test_peel_accepts_exactly_the_threshold_sequences():
+    # Every non-increasing sequence with entries in [-1, n], 33,097 in all.
+    for n in range(1, 9):
+        accepted = 0
+        for d in itertools.combinations_with_replacement(range(n, -2, -1), n):
+            try:
+                g = from_degree_sequence(d)
+            except NotThresholdError:
+                continue
+            assert g.degree_sequence() == d
+            accepted += 1
+        assert accepted == 2 ** (n - 1)
+
+
 # ---------------------------------------------------------------------------
 # Split parameters
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ def test_as_alpha_parsing():
         as_alpha(0.5)
 
 
+def test_as_alpha_rejects_zero_denominator_and_float_one():
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_alpha("1/0")
+    # Below 1 exactly, but its float is 1.0, so the matrix would lose A.
+    with pytest.raises(ValueError, match="rounds to 1.0"):
+        as_alpha("0.99999999999999999999")
+    assert float(as_alpha("0.9999999999999999")) < 1.0
+
+
 def test_alpha_matrix_k2():
     mat = alpha_matrix(complete_graph(2), HALF)
     assert np.array_equal(mat, np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -1,5 +1,6 @@
 """Edge rewirings: validation, application, certificates, identity residuals."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -62,6 +63,9 @@ def test_spec_shape_constraints():
         TransformSpec("ROW", 7, 2, 5, 3, 2)  # h < p - l violated
     with pytest.raises(ValueError):
         TransformSpec("COL", 9, 3, 8, 4, 2)  # 2 <= q - l violated
+    for kind in ("ROW", "COL"):
+        with pytest.raises(ValueError):
+            TransformSpec(kind, 7, 2, 5, 3, -1)  # width must be nonnegative
     with pytest.raises(ValueError):
         TransformSpec("DIAG", 5, 2, 4, 3)
 
@@ -74,6 +78,22 @@ def test_spec_text_round_trip():
     assert TransformSpec.parse("basic 6 2 4 3").kind == "BASIC"
     with pytest.raises(ValueError):
         TransformSpec.parse("ROW 7 2 5 3")  # missing width
+
+
+# Every candidate spec text for n = 1..14, kind in KINDS order, dk = 1..3.
+PINNED_CANDIDATE_DIGEST = "bb47db568c8d59fd4457e4630a150b2cf9fa54ae4333cc1e8298c1e9d3d451e6"
+
+
+def test_candidate_specs_match_pinned_digest():
+    texts = "".join(
+        spec.text + "\n"
+        for n in range(1, 15)
+        for kind in ("BASIC", "ROW", "COL")
+        for dk in (1, 2, 3)
+        for spec in candidate_specs(n, kind, dk)
+    )
+    assert texts.count("\n") == 7832
+    assert hashlib.sha256(texts.encode()).hexdigest() == PINNED_CANDIDATE_DIGEST
 
 
 # ---------------------------------------------------------------------------
