@@ -76,9 +76,11 @@ def as_alpha(value) -> Fraction:
         alpha = value if isinstance(value, Fraction) else Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"alpha has a zero denominator: {value!r}") from None
-    if not 0 <= alpha < 1:
+    num, den = alpha.numerator, alpha.denominator
+    if not 0 <= num < den:
         raise ValueError(f"alpha must satisfy 0 <= alpha < 1, got {alpha}")
-    if float(alpha) == 1.0:
+    # Exact integer tests: num/den rounds half-even to 1.0 iff 1 - alpha <= 2**-54.
+    if (den - num) << 54 <= den:
         raise ValueError(f"alpha {alpha} is below 1 but rounds to 1.0 as a float, so 1 - alpha would be 0")
     return alpha
 

@@ -22,13 +22,16 @@ are exactly what makes a graph threshold, so the paper's conditions (ii) and
 vacancies of theirs) say: every removed cell is an edge, every filled cell is
 vacant, and every row the move touches is again the prefix row for its new
 degree.  The result is then threshold with the same vertex and edge counts.
-``bench/reference.py`` defines validity the same way, on dense matrices.
+``bench/reference.py`` defines validity the same way, on dense matrices.  A
+rejection carries no text: ``validate`` formats its reason when it is read.
 
 A move never touches an edge set.  Each spec caches the bits its cells clear
 and set in every row they touch; the moved bitmask rows give the rewired
-degrees, and ``from_degree_sequence`` turns them into the canonical creation
-sequence (a threshold degree sequence has exactly one realization).  Both
-``apply_transform`` and ``certify`` go through that one step.
+degrees, still non-increasing on the host's labels, and
+``from_degree_sequence`` turns them into the canonical creation sequence (a
+threshold degree sequence has exactly one realization).  ``certify`` goes
+through ``apply_transform``, which is memoised per (host, spec), so a move
+certified at several alphas is validated and rewired once.
 
 For alpha >= 1/2 and k = q+1 the rewiring never decreases the spectral radius
 of alpha*D + (1-alpha)*A, with equality exactly when alpha = 1/2, l = 0 and
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,38 +130,58 @@ class TransformSpec:
                 edits.setdefault(v, [0, 0])[slot] |= 1 << u
         return tuple((v, clear, fill) for v, (clear, fill) in sorted(edits.items()))
 
+    @cached_property
+    def _ends(self) -> tuple[int, int, int]:
+        """(w, q0, h0) of the eigenvector identities below."""
+        cols, rows = zip(*self.removals())
+        return max(cols), min(col for col, _ in self.additions()), min(rows)
 
-@dataclass(frozen=True)
+
 class ValidationResult:
-    ok: bool
-    reason: str | None = None
+    """Truthy exactly when the move is valid; ``reason`` names the first violation."""
+
+    def __init__(self, ok: bool, reason: str | None = None):
+        self.ok, self.reason = ok, reason
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _moved_rows(g: ThresholdGraph, spec: TransformSpec) -> dict[int, int] | str:
+class _Rejection(ValidationResult):
+    """A failed ``validate``; ``_moved_rows`` formats its reason only when it is read."""
+
+    ok = False
+
+    def __init__(self, g: ThresholdGraph, spec: TransformSpec):
+        self._move = g, spec
+
+    @property
+    def reason(self) -> str:
+        return _moved_rows(*self._move, explain=True)
+
+
+def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -> dict[int, int] | str | bool:
     """``{vertex: row after the move}`` for each touched row, or why the move fails.
 
-    Raises ValueError when indices exceed the host size.
+    A failure is False unless ``explain`` asks for its reason.  Raises
+    ValueError when indices exceed the host size.
     """
     if spec.p > g.n:
         raise ValueError(f"index p={spec.p} out of range for n={g.n}")
     if not g.is_connected:
-        return "host graph is not connected"
+        return explain and "host graph is not connected"
     rows = g.stepwise_rows
     for v, clear, fill in spec._row_edits:
-        if clear & ~rows[v]:
-            u = (clear & ~rows[v]).bit_length() - 1
-            return f"(iii): a[{v},{u}] = 0, a removed cell is not an edge"
-        if fill & rows[v]:
-            u = (fill & rows[v]).bit_length() - 1
-            return f"(ii): a[{v},{u}] = 1, a filled cell is not vacant"
+        gone, taken = clear & ~rows[v], fill & rows[v]
+        if gone:
+            return explain and f"(iii): a[{v},{gone.bit_length() - 1}] = 0, a removed cell is not an edge"
+        if taken:
+            return explain and f"(ii): a[{v},{taken.bit_length() - 1}] = 1, a filled cell is not vacant"
     moved = {}
     for v, clear, fill in spec._row_edits:
         row = rows[v] ^ clear ^ fill
         if row != stepwise_row(v, row.bit_count()):
-            return f"row {v} is not stepwise after the move"
+            return explain and f"row {v} is not stepwise after the move"
         moved[v] = row
     return moved
 
@@ -167,40 +190,34 @@ def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult:
     """Check the rewiring on g's stepwise matrix by the one prefix rule.
 
     Returns a truthy/falsy result; on failure ``reason`` names the first
-    violation found by ``_moved_rows``, which raises ValueError when indices
-    exceed the host size.
+    violation found by ``_moved_rows``, formatted only when it is read.
+    Raises ValueError when indices exceed the host size.
     """
-    moved = _moved_rows(g, spec)
-    return ValidationResult(False, moved) if isinstance(moved, str) else ValidationResult(True)
+    return ValidationResult(True) if _moved_rows(g, spec) else _Rejection(g, spec)
 
 
-def _rewire(g: ThresholdGraph, spec: TransformSpec) -> tuple[list[int], ThresholdGraph]:
-    """Validate, then read the rewired degrees off the moved rows.
+# A move is certified at a few alphas in a row; 256 entries cover that reuse.
+@lru_cache(maxsize=256)
+def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
+    """Apply a validated rewiring; returns the canonical result.
 
-    Returns the rewired degrees on the host's labels (index v-1 is vertex v)
-    and the canonical result.  A valid move keeps the graph threshold, and a
-    threshold degree sequence has exactly one realization, so the degrees fix
-    the result; ``from_degree_sequence`` raises NotThresholdError should a
-    move ever leave the class.
+    Refuses to apply when validation fails, else reads the rewired degrees
+    off the moved rows.  Every row is then the stepwise row of its degree,
+    so the degrees stay non-increasing and the host's labels are the
+    result's stepwise labels.  A threshold degree sequence has one
+    realization, so the degrees fix the result, with the same vertex and
+    edge counts; ``from_degree_sequence`` raises NotThresholdError should a
+    move ever leave the class, ValueError should it reorder labels.
     """
-    moved = _moved_rows(g, spec)
+    moved = _moved_rows(g, spec, explain=True)
     if isinstance(moved, str):
         raise InvalidTransformError(f"invalid {spec.kind} rewiring: {moved}")
     deg = list(g.degree_sequence())
     for v, row in moved.items():
         deg[v - 1] = row.bit_count()
-    after = from_degree_sequence(sorted(deg, reverse=True))
+    after = from_degree_sequence(deg)
     assert after.n == g.n and after.m == g.m
-    return deg, after
-
-
-def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
-    """Apply a validated rewiring; returns the canonical result.
-
-    Refuses to apply when validation fails.  The result always has the same
-    vertex and edge counts and is again a threshold graph.
-    """
-    return _rewire(g, spec)[1]
+    return after
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +249,9 @@ def eq1_residual(rho1: float, x, spec: TransformSpec, alpha) -> float:
     a = float(alpha) if not isinstance(alpha, float) else alpha
     x = np.asarray(x, dtype=float)
     p, h = spec.p, spec.h
-    w = max(col for col, _ in spec.removals())
-    q0 = min(col for col, _ in spec.additions())
+    w, q0, _ = spec._ends
     lhs = (rho1 - w * a) * (x[h - 1] - x[p - 1])
-    rhs = (w - q0 + 1) * a * x[p - 1] + (1.0 - a) * float(np.sum(x[q0 - 1 : w]))
+    rhs = (w - q0 + 1) * a * x[p - 1] + (1.0 - a) * float(x[q0 - 1 : w].sum())
     return abs(lhs - rhs)
 
 
@@ -248,9 +264,9 @@ def eq2_residual(rho2: float, y, spec: TransformSpec, alpha) -> float:
     a = float(alpha) if not isinstance(alpha, float) else alpha
     y = np.asarray(y, dtype=float)
     p, q, k = spec.p, spec.q, spec.k
-    h0 = min(row for _, row in spec.removals())
+    h0 = spec._ends[2]
     lhs = (rho2 - p * a + 1.0) * (y[q - 1] - y[k - 1])
-    rhs = (p - h0 + 1) * a * y[k - 1] + (1.0 - a) * float(np.sum(y[h0 - 1 : p]))
+    rhs = (p - h0 + 1) * a * y[k - 1] + (1.0 - a) * float(y[h0 - 1 : p].sum())
     return abs(lhs - rhs)
 
 
@@ -289,9 +305,14 @@ class MonotonicityCertificate:
 
 
 def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertificate:
-    """Apply the rewiring and certify the spectral-radius comparison."""
+    """Apply the rewiring and certify the spectral-radius comparison.
+
+    alpha is normalised once, and the memoised ``apply_transform`` validates
+    and rewires a move once across alphas.
+    """
     alpha = as_alpha(alpha)
-    deg, g_after = _rewire(g, spec)
+    a = float(alpha)
+    g_after = apply_transform(g, spec)
     spec_before = threshold_spectrum(g, alpha)
     spec_after = threshold_spectrum(g_after, alpha)
     rho1, rho2 = spec_before.rho, spec_after.rho
@@ -306,12 +327,9 @@ def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertif
     else:
         covered, rule, predicted = False, RULE_NONE, None
 
-    # Equal degrees in a threshold graph are twins with equal Perron entries,
-    # so the stepwise vector of g_after lands on host labels by degree rank.
-    y = np.empty(g.n)
-    y[np.argsort(-np.array(deg), kind="stable")] = spec_after.perron
-    r1 = eq1_residual(rho1, spec_before.perron, spec, float(alpha))
-    r2 = eq2_residual(rho2, y, spec, float(alpha))
+    # The host's labels are g_after's stepwise labels (see ``apply_transform``).
+    r1 = eq1_residual(rho1, spec_before.perron, spec, a)
+    r2 = eq2_residual(rho2, spec_after.perron, spec, a)
 
     return MonotonicityCertificate(
         spec=spec,

@@ -71,6 +71,18 @@ def test_as_alpha_rejects_zero_denominator_and_float_one():
     assert float(as_alpha("0.9999999999999999")) < 1.0
 
 
+def test_as_alpha_fraction_path_keeps_its_errors():
+    for bad in (Fraction(1), Fraction(-1, 3), Fraction(10**20 - 1, 10**20)):
+        with pytest.raises(ValueError):
+            as_alpha(bad)
+    half = Fraction(1, 2)
+    assert as_alpha(half) is half
+    # 1 - 2**-54 is the midpoint below 1.0 and rounds half-even onto it.
+    with pytest.raises(ValueError, match="rounds to 1.0"):
+        as_alpha(Fraction(2**54 - 1, 2**54))
+    assert float(as_alpha(Fraction(2**53 - 1, 2**53))) < 1.0
+
+
 def test_alpha_matrix_k2():
     mat = alpha_matrix(complete_graph(2), HALF)
     assert np.array_equal(mat, np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -17,7 +17,7 @@ from quasistar.graphs import (
     threshold_from_labeled,
     to_labeled,
 )
-from quasistar.spectra import spectral_radius, threshold_spectrum
+from quasistar.spectra import _threshold_spectrum, spectral_radius, threshold_spectrum
 from quasistar.transforms import (
     InvalidTransformError,
     TransformSpec,
@@ -26,6 +26,7 @@ from quasistar.transforms import (
     candidate_specs,
     certify,
     eq1_residual,
+    eq2_residual,
     validate,
 )
 
@@ -229,17 +230,39 @@ def test_validate_reports_first_violated_clause():
     assert "column 2 is not full on rows 3..6" in validate_by_clauses(host, bad).reason
 
 
-def test_prefix_rule_matches_clause_reference():
-    pairs = valid = 0
+def clause_reference_pairs():
+    """Every (host, spec) with a connected host, n <= 9, any kind, dk = 1..3."""
     for g in connected_threshold_graphs(9):
         for kind in ("BASIC", "ROW", "COL"):
             for dk in (1, 2, 3):
                 for spec in candidate_specs(g.n, kind, dk=dk):
-                    expected = bool(validate_by_clauses(g, spec))
-                    assert bool(validate(g, spec)) == expected, (g.text, spec.text)
-                    pairs += 1
-                    valid += expected
+                    yield g, spec
+
+
+def test_prefix_rule_matches_clause_reference():
+    pairs = valid = 0
+    for g, spec in clause_reference_pairs():
+        expected = bool(validate_by_clauses(g, spec))
+        assert bool(validate(g, spec)) == expected, (g.text, spec.text)
+        pairs += 1
+        valid += expected
     assert (pairs, valid) == (50460, 743)
+
+
+# ``host|spec|reason`` of every invalid pair of ``clause_reference_pairs``.
+PINNED_REASON_DIGEST = "69e6f6ba707dfe04d4f7d9b77c371f6f73a80067e2686efeb41a92c147a789d6"
+
+
+def test_rejection_reasons_match_pinned_digest():
+    digest = hashlib.sha256()
+    rejected = 0
+    for g, spec in clause_reference_pairs():
+        result = validate(g, spec)
+        if not result:
+            digest.update(f"{g.text}|{spec.text}|{result.reason}\n".encode())
+            rejected += 1
+    assert rejected == 50460 - 743
+    assert digest.hexdigest() == PINNED_REASON_DIGEST
 
 
 def test_validate_index_out_of_range():
@@ -373,6 +396,31 @@ def test_uncovered_cases_are_flagged_not_guessed():
         cert = certify(g, wide, HALF)
         assert not cert.covered and cert.predicted_equality is None
         break
+
+
+def test_certificates_do_not_depend_on_call_order_or_cache_state():
+    alphas = (HALF, Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
+    moves = list(valid_instances(8))
+    runs = []
+    for order in (alphas, alphas[::-1]):
+        _threshold_spectrum.cache_clear()
+        apply_transform.cache_clear()
+        runs.append({(g, spec, alpha): certify(g, spec, alpha) for g, spec in moves for alpha in order})
+    assert len(runs[0]) == 4 * len(moves) >= 400
+    for key, cert in runs[0].items():
+        assert vars(cert) == vars(runs[1][key]), key
+    # A valid move keeps the host's labels in stepwise order, so the old
+    # stable degree-rank scatter of the rewired Perron vector is the identity.
+    for g, spec in moves:
+        deg = [len(nbrs) for nbrs in rewired_labeled(g, spec).neighbor_sets()[1:]]
+        assert deg == sorted(deg, reverse=True), (g.text, spec.text)
+        for alpha in alphas:
+            perron = threshold_spectrum(apply_transform(g, spec), alpha).perron
+            scattered = np.empty(g.n)
+            scattered[np.argsort(-np.array(deg), kind="stable")] = perron
+            assert np.array_equal(scattered, perron), (g.text, spec.text)
+            cert = runs[0][g, spec, alpha]
+            assert cert.residual_eq2 == eq2_residual(cert.rho_after, scattered, spec, alpha)
 
 
 def test_certify_rejects_invalid_spec():
