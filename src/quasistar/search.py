@@ -16,13 +16,14 @@ bitmasks: reachability by repeated boolean squaring marks the connected
 members, which ``dense_spectra`` solves in one call; disconnected members
 (only when ``connected_only`` is off) go through ``spectral_radius``.
 
-``argmax_rho`` scans a family for the maximum spectral radius of
-alpha*D + (1-alpha)*A, reporting every maximizer within 1e-9 of the maximum,
-the gap to the best non-maximizer, and a warning for any suspicious near-tie
-(gap below 1e-6).  The ``verify_*`` drivers compare the found maximizer sets
-against the predicted ones (the quasi-star, with the S~ tie at alpha = 1/2
-where it exists) and the ``audit`` helper extracts the staircase statistics
-kappa, delta_j, s, theta used in the structural analysis of extremal hosts.
+``argmax_rho`` reduces a scan's (bitmasks, radii) chunks as they arrive,
+keeping the running maximum, the members ``same_radius`` with it and the best
+radius below it, and reports the maximizers, the tie gap and a warning for a
+suspicious near-tie (gap below 1e-6).  The ``verify_*`` drivers compare the
+found maximizer sets against the predicted ones (the quasi-star, with the S~
+tie at alpha = 1/2 where it exists) and the ``audit`` helper extracts the
+staircase statistics kappa, delta_j, s, theta used in the structural analysis
+of extremal hosts.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations
 
 import numpy as np
 
@@ -45,11 +46,11 @@ from .graphs import (
 )
 from .spectra import (
     HALF,
-    RHO_COMPARE_TOL,
     alpha_matrices,
     as_alpha,
     dense_spectra,
     family_spectra,
+    same_radius,
     spectral_radius,
 )
 
@@ -243,8 +244,8 @@ class VerificationReport:
     """Outcome of one family scan: full maximizer set and tie structure.
 
     ``maximizer_set`` holds canonical creation sequences (THRESHOLD universe)
-    or canonical edge-list keys (ALL universe), sorted lexicographically;
-    every member has rho within 1e-9 of ``rho_max``.  ``tie_gap`` is the
+    or canonical edge-list keys (ALL universe), sorted lexicographically: the
+    members whose rho is ``same_radius`` with ``rho_max``.  ``tie_gap`` is the
     distance from the maximum to the best non-maximizer (inf when the family
     has no non-maximizer).  ``matches_theorem`` is None for a plain argmax
     scan and a bool when a verifier compared the set against its prediction.
@@ -273,25 +274,32 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     """Scan the family for its spectral-radius maximizers at the given alpha."""
     alpha = as_alpha(alpha)
     if family.universe == THRESHOLD:
-        radii, near = _threshold_radii(family, alpha)
+        chunks, key = _threshold_radii(family, alpha), lambda mask: "".join(_creation(mask, family.n))
     else:
-        radii, near = _all_radii(family, alpha)
-    if not len(radii):
+        chunks, key = _all_radii(family, alpha), lambda mask: edge_key(_labeled_from_mask(mask, family.n))
+    top, below = -np.inf, -np.inf
+    tied, tied_radii = [], np.empty(0)
+    for masks, radii in chunks:
+        top = max(top, float(radii.max()))
+        radii = np.concatenate((tied_radii, radii))
+        tie = same_radius(radii, top)
+        # Members that tied an earlier, lower maximum drop to ``below`` here.
+        below = max(below, float(radii[~tie].max(initial=-np.inf)))
+        tied = list(compress(tied + masks, tie.tolist()))
+        tied_radii = radii[tie]
+    if top == -np.inf:
         raise ValueError(f"family {family} is empty")
-    rho_max = float(radii.max())
-    maximizers = tuple(sorted(key for key, rho in near if rho >= rho_max - RHO_COMPARE_TOL))
-    outside = radii[radii < rho_max - RHO_COMPARE_TOL]
-    tie_gap = rho_max - float(outside.max()) if len(outside) else float("inf")
+    tie_gap = top - below  # inf when every member ties
     warnings = ()
-    if len(outside) and tie_gap < NEAR_TIE_WARNING:
+    if tie_gap < NEAR_TIE_WARNING:
         warnings = (
             f"near-tie: best non-maximizer within {tie_gap:.3e} of the maximum",
         )
     return VerificationReport(
         family=family,
         alpha=alpha,
-        maximizer_set=maximizers,
-        rho_max=rho_max,
+        maximizer_set=tuple(sorted(map(key, tied))),
+        rho_max=top,
         tie_gap=tie_gap,
         matches_theorem=None,
         warnings=warnings,
@@ -299,28 +307,14 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
 
 
 def _threshold_radii(family: FamilySpec, alpha: Fraction):
-    """Every radius of the family, and (text, rho) for each possible maximizer.
-
-    The walk is solved ``FAMILY_CHUNK`` graphs at a time.  A graph more than
-    ``RHO_COMPARE_TOL`` below the running maximum keeps only its radius.
-    """
+    """Yield (D-position bitmasks, radii) of the family, ``FAMILY_CHUNK`` at a time."""
     walk = _dominating_masks(family)
-    radii, near, top = [], [], -np.inf
     while chunk := list(islice(walk, FAMILY_CHUNK)):
-        rho = family_spectra(_rows(chunk, family.n), alpha)[0]
-        radii.append(rho)
-        top = max(top, rho.max())
-        near.extend((mask, r) for mask, r in zip(chunk, rho.tolist()) if r >= top - RHO_COMPARE_TOL)
-    texts = [("".join(_creation(mask, family.n)), r) for mask, r in near]
-    return np.concatenate(radii), texts
+        yield chunk, family_spectra(_rows(chunk, family.n), alpha)[0]
 
 
 def _all_radii(family: FamilySpec, alpha: Fraction):
-    """Every radius of the ALL family, and (edge key, rho) for each maximizer.
-
-    Connected members are solved in one ``dense_spectra`` call; the others
-    are solved per component by ``spectral_radius``.
-    """
+    """Yield (edge bitmasks, radii) of the ALL family as one chunk."""
     n = family.n
     masks, adj, connected = _class_stack(n, family.m)
     keep = connected | (not family.connected_only)
@@ -330,9 +324,7 @@ def _all_radii(family: FamilySpec, alpha: Fraction):
         radii[connected] = dense_spectra(alpha_matrices(adj[connected], alpha))[0]
     for i in (~connected).nonzero()[0]:
         radii[i] = spectral_radius(_labeled_from_mask(masks[i], n), alpha).rho
-    top = radii.max() - RHO_COMPARE_TOL
-    return radii, [(edge_key(_labeled_from_mask(mask, n)), r)
-                   for mask, r in zip(masks, radii.tolist()) if r >= top]
+    yield masks, radii
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:
@@ -434,14 +426,14 @@ def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
 def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
     """Compare the ALL-connected maximum against the threshold-only maximum.
 
-    ``matches_theorem`` is True when the two maxima agree within 1e-9 and
+    ``matches_theorem`` is True when the two maxima are ``same_radius`` and
     every maximizer over all connected graphs is a threshold graph.
     """
     all_family = FamilySpec(n, m, connected_only=True, universe=ALL)
     thr_family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
     all_report = argmax_rho(all_family, alpha)
     thr_report = argmax_rho(thr_family, alpha)
-    agree = abs(all_report.rho_max - thr_report.rho_max) <= RHO_COMPARE_TOL
+    agree = same_radius(all_report.rho_max, thr_report.rho_max)
     all_threshold = all(is_threshold(_from_edge_key(key, n)) for key in all_report.maximizer_set)
     return replace(all_report, matches_theorem=agree and all_threshold)
 

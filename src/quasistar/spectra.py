@@ -26,8 +26,9 @@ negative beyond rounding, and the infinity-norm residual of the full
 n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for threshold
 graphs by an O(n) prefix-sum product in creation order).
 
-Besides the two kernels the module holds only ``char_poly``, the exact
-characteristic polynomial of a small rational matrix such as a run quotient.
+Besides the two kernels the module holds ``same_radius``, the one rule by
+which two radii count as equal, and ``char_poly``, the exact characteristic
+polynomial of a small rational matrix such as a run quotient.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ RESIDUAL_TOL = 1e-11
 RHO_COMPARE_TOL = 1e-9
 
 HALF = Fraction(1, 2)
+
+
+def same_radius(rho1, rho2):
+    """Whether two spectral radii count as equal (elementwise): the tie rule of every verdict."""
+    return abs(rho1 - rho2) <= RHO_COMPARE_TOL
 
 
 class NonConvergenceError(RuntimeError):

@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .graphs import ThresholdGraph, from_degree_sequence, stepwise_row
-from .spectra import HALF, RHO_COMPARE_TOL, as_alpha, threshold_spectrum
+from .spectra import HALF, as_alpha, same_radius, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
 
@@ -246,7 +246,7 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
 
 def eq1_residual(rho1: float, x, spec: TransformSpec, alpha) -> float:
     """Residual of the host-side identity for the eigenpair (rho1, x)."""
-    a = float(alpha) if not isinstance(alpha, float) else alpha
+    a = float(alpha)
     x = np.asarray(x, dtype=float)
     p, h = spec.p, spec.h
     w, q0, _ = spec._ends
@@ -261,7 +261,7 @@ def eq2_residual(rho2: float, y, spec: TransformSpec, alpha) -> float:
     ``y`` must be indexed by the host's stepwise labels (the rewiring keeps
     labels fixed).
     """
-    a = float(alpha) if not isinstance(alpha, float) else alpha
+    a = float(alpha)
     y = np.asarray(y, dtype=float)
     p, q, k = spec.p, spec.q, spec.k
     h0 = spec._ends[2]
@@ -285,11 +285,10 @@ class MonotonicityCertificate:
 
     ``predicted_equality`` comes from exact rational arithmetic on (alpha, l,
     p, q, h): for a covered spec with k = q+1 it is alpha = 1/2 and l = 0 and
-    p = h+1 = q+3.  ``observed_equality`` is the |rho_after - rho_before| <=
-    1e-9 comparison.  ``covered`` is False when no monotonicity statement
-    applies (alpha < 1/2 or an index pattern outside the two covered rules);
-    the certificate is then descriptive only and ``predicted_equality`` is
-    None.
+    p = h+1 = q+3.  ``observed_equality`` is ``same_radius`` of the two radii.
+    ``covered`` is False when no monotonicity statement applies (alpha < 1/2
+    or an index pattern outside the two covered rules); the certificate is
+    then descriptive only and ``predicted_equality`` is None.
     """
 
     spec: TransformSpec
@@ -337,7 +336,7 @@ def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertif
         rho_before=rho1,
         rho_after=rho2,
         predicted_equality=predicted,
-        observed_equality=abs(rho2 - rho1) <= RHO_COMPARE_TOL,
+        observed_equality=same_radius(rho2, rho1),
         residual_eq1=r1,
         residual_eq2=r2,
         covered=covered,

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, auto-detection, records, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -254,6 +255,23 @@ def test_output_is_byte_identical_across_runs_and_threads():
     threaded = record_run(3)
     assert first == second == threaded
     assert first.count(b"\n") == 13
+
+
+# sha256 of the structured stdout of each sweep.  A change that keeps every
+# verdict, radius and tie gap bit for bit keeps these digests.
+PINNED_VERIFY_DIGESTS = {
+    "t42 --r 3 --n 20 --alpha 1/2": "d364e167ffde8392b1f0919f33296cf696e573a62c49ad8899ca80d1b7ddfb71",
+    "lemma24 --n 4..7 --alpha 0,1/2,3/4": "549ce3d1a8598fa95e2878d067a4fd84adc1df4ff67219b1948d4df07ac5c64d",
+    "t41 --n 4..12": "696c7652ccf564632101766d681b083c2ba75034f57a5f5c4822b5a5129d03f9",
+    "t12 --n 4..16": "79f777e9b63af8b060995867e424ca9610c63709b6a4b648d3c2fbeefd0a0cde",
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(PINNED_VERIFY_DIGESTS))
+def test_verify_stdout_matches_pinned_digest(capsys, sweep):
+    code, out, err = run(capsys, "--format", "structured", "--threads", "1", "verify", *sweep.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_DIGESTS[sweep]
 
 
 def test_help_exits_zero(capsys):

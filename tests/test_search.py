@@ -33,7 +33,7 @@ from quasistar.search import (
     verify_clique_band,
     verify_sparse_band,
 )
-from quasistar.spectra import RHO_COMPARE_TOL, spectral_radius
+from quasistar.spectra import RHO_COMPARE_TOL, family_spectra, same_radius, spectral_radius
 
 HALF = Fraction(1, 2)
 
@@ -312,6 +312,37 @@ def test_argmax_report_does_not_depend_on_chunk_size(monkeypatch, chunk):
     expected = [argmax_rho(family, alpha) for family, alpha in cases]
     monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
     assert [argmax_rho(family, alpha) for family, alpha in cases] == expected
+
+
+def test_streaming_argmax_matches_one_call_reference(monkeypatch):
+    """One graph per chunk against one ``family_spectra`` call per family.
+
+    A member that ties the running maximum and later falls out of the tie
+    must still count toward ``tie_gap``; the sweep checks that it has such
+    members.
+    """
+    monkeypatch.setattr(search, "FAMILY_CHUNK", 1)
+    scans = with_dropouts = 0
+    for n in range(1, 11):
+        for connected_only in (True, False):
+            for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
+                family = FamilySpec(n, m, connected_only=connected_only)
+                masks = list(search._dominating_masks(family))
+                for alpha in (Fraction(0), HALF, Fraction(3, 4)):
+                    radii = family_spectra(search._rows(masks, n), alpha)[0]
+                    rho_max = float(radii.max())
+                    tie = same_radius(radii, rho_max)
+                    below = radii[~tie]
+                    expected = (
+                        rho_max,
+                        rho_max - float(below.max()) if len(below) else float("inf"),
+                        tuple(sorted("".join(search._creation(mask, n)) for mask in itertools.compress(masks, tie))),
+                    )
+                    report = argmax_rho(family, alpha)
+                    assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
+                    scans += 1
+                    with_dropouts += bool((same_radius(radii, np.maximum.accumulate(radii)) & ~tie).any())
+    assert scans == 915 and with_dropouts > 0
 
 
 def test_argmax_deterministic_and_thread_invariant():
