@@ -79,7 +79,7 @@ class ThresholdGraph:
     def m(self) -> int:
         return sum(i for i, sym in enumerate(self.creation) if sym == DOMINATING)
 
-    @property
+    @cached_property
     def is_connected(self) -> bool:
         return self.n == 1 or self.creation[-1] == DOMINATING
 
@@ -112,6 +112,12 @@ class ThresholdGraph:
         degrees = self.degree_sequence()
         return (0,) + tuple(stepwise_row(v, d) for v, d in enumerate(degrees, start=1))
 
+    @cached_property
+    def edge_bits(self) -> int:
+        """The edge set in stepwise labels as one integer: edge (u, v), u < v, is bit ``edge_bit(u, v)``."""
+        rows = enumerate(self.stepwise_rows[2:], start=2)
+        return sum((row & ((1 << v) - 2)) >> 1 << edge_bit(1, v) for v, row in rows)
+
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThresholdGraph({self.text})"
 
@@ -123,6 +129,11 @@ def stepwise_row(v: int, d: int) -> int:
     """
     reach = d + (v <= d)
     return ((1 << (reach + 1)) - 2) & ~(1 << v)
+
+
+def edge_bit(u: int, v: int) -> int:
+    """Position of edge (u, v), u < v, in ``ThresholdGraph.edge_bits``: the columns of row v follow rows 2..v-1."""
+    return (v - 1) * (v - 2) // 2 + u - 1
 
 
 @dataclass(frozen=True)
@@ -326,6 +337,13 @@ def split_params(n: int, m: int) -> SplitParams:
     return SplitParams(n, m, k, a, kbar, abar)
 
 
+def _with_edges(g: ThresholdGraph, m: int) -> ThresholdGraph:
+    """g, after checking that it has the m edges its family's formula promised."""
+    if g.m != m:
+        raise RuntimeError(f"family construction built {g.text} with {g.m} edges, not m={m}")
+    return g
+
+
 def quasi_star(n: int, m: int) -> ThresholdGraph:
     """S(n,m): a k-clique joined to a star K_{1,a} plus isolated vertices."""
     sp = split_params(n, m)
@@ -335,9 +353,7 @@ def quasi_star(n: int, m: int) -> ThresholdGraph:
         seq = (ISOLATED,) * a + (DOMINATING,) + (ISOLATED,) * tail + (DOMINATING,) * k
     else:
         seq = (ISOLATED,) * (n - k) + (DOMINATING,) * k
-    g = ThresholdGraph(n, seq)
-    assert g.m == m
-    return g
+    return _with_edges(ThresholdGraph(n, seq), m)
 
 
 def l_graph(n: int, m: int) -> ThresholdGraph:
@@ -357,9 +373,7 @@ def l_graph(n: int, m: int) -> ThresholdGraph:
             + (ISOLATED,) * (n - kb - 2)
             + (DOMINATING,)
         )
-    g = ThresholdGraph(n, seq)
-    assert g.m == m
-    return g
+    return _with_edges(ThresholdGraph(n, seq), m)
 
 
 def tilde_s(n: int, m: int) -> ThresholdGraph:
@@ -374,9 +388,7 @@ def tilde_s(n: int, m: int) -> ThresholdGraph:
         mk = k * n - k * (k + 1) // 2 + 3
         if mk == m:
             seq = (ISOLATED, DOMINATING, DOMINATING) + (ISOLATED,) * (n - k - 3) + (DOMINATING,) * k
-            g = ThresholdGraph(n, seq)
-            assert g.m == m
-            return g
+            return _with_edges(ThresholdGraph(n, seq), m)
         if mk > m:
             break
     raise ValueError(f"tilde-S is undefined for n={n}, m={m}: m != k*n - k(k+1)/2 + 3 for any k")

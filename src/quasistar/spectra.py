@@ -20,7 +20,9 @@ run quotients: maximal runs of equal creation symbols (the first vertex joins
 the second's run; a trailing ``I`` run is split off as isolated vertices) are
 twin classes, hence an equitable partition, so rho is the top eigenvalue of
 the symmetrised quotient and the Perron vector is constant on each run.
-``threshold_spectrum`` is its cached one-graph call.  Every pair is
+The call shape picks the path: ``threshold_spectrum`` is the cached
+one-graph solve, the same run quotient in plain Python floats around one
+``eigh`` call and bit for bit the batch's row.  Every pair is
 certified: the vector's sign makes its sum positive, no entry may be
 negative beyond rounding, and the infinity-norm residual of the full
 n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for threshold
@@ -33,6 +35,8 @@ polynomial of a small rational matrix such as a run quotient.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,14 +185,48 @@ def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
 # their hit count was the same at every bound from 64 to 4096 as unbounded.
 @lru_cache(maxsize=1024)
 def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
-    """The one-graph call of ``family_spectra``, lifted to stepwise labels."""
-    dom = np.array([sym == DOMINATING for sym in g.creation])
-    rho, x, residual = family_spectra(dom[None], alpha)
+    """One graph's row of ``family_spectra``, bit for bit, lifted to stepwise labels.
+
+    The batch's runs, quotient, sign rule and residual, float operation for
+    float operation, in plain Python around one ``eigh`` on the k x k quotient.
+    """
+    a = float(alpha)
+    dom = [sym == DOMINATING for sym in g.creation]
+    deg = g.creation_degrees()
+    runs, start = [], 0  # (symbol, degree, size): vertex i closes a run as ``cut`` marks it
+    for i, d in enumerate(deg):
+        if d and (i + 1 == g.n or deg[i + 1] != d):
+            runs.append((dom[i], d, i + 1 - start))
+            start = i + 1
+    x, rho = [0.0] * g.n, 0.0  # x in creation order; isolated vertices stay 0
+    if runs:
+        root = [math.sqrt(size) for _, _, size in runs]
+        quotient = [[0.0] * len(runs) for _ in runs]
+        for j, (sym, d, size) in enumerate(runs):  # a D run joins every earlier run
+            quotient[j][j] = a * d + (1.0 - a) * (size - 1.0) if sym else a * d
+            for i in range(j if sym else 0):
+                quotient[i][j] = quotient[j][i] = (1.0 - a) * (root[i] * root[j])
+        vals, vecs = np.linalg.eigh(np.array(quotient))
+        top = vecs[:, -1].tolist()
+        rho = float(vals[-1])
+        sign = sum(top)  # only its sign is read, so the summation order is free
+        x[:start] = [t / math.copysign(r, sign) for t, r, run in zip(top, root, runs) for _ in range(run[2])]
+    else:  # edgeless: every vertex is its own component with radius 0
+        x[0] = 1.0
+    # The batch's certificate, entry by entry.
+    cum_x = itertools.accumulate(x)
+    dom_x = list(itertools.accumulate(v if dm else 0.0 for v, dm in zip(x, dom)))
+    terms = [
+        abs((a * d - rho) * v + (1.0 - a) * ((c - v if dm else 0.0) + (dom_x[-1] - e)))
+        for v, c, e, dm, d in zip(x, cum_x, dom_x, dom, deg)
+    ]
+    residual = math.nan if math.isnan(sum(terms)) else max(terms)  # max() alone can skip a NaN
+    _gate(residual, min(x))
     # Stepwise labels sort vertices by descending degree: D steps latest first,
     # then I steps earliest first; only twins, with equal entries, tie.
-    perron = x[0, np.concatenate((dom.nonzero()[0][::-1], (~dom).nonzero()[0]))]
+    perron = np.array([x[i] for i in range(g.n - 1, -1, -1) if dom[i]] + [v for v, dm in zip(x, dom) if not dm])
     perron.setflags(write=False)
-    return Spectrum(rho=float(rho[0]), perron=perron, iterations=0, residual=float(residual[0]))
+    return Spectrum(rho=rho, perron=perron, iterations=0, residual=residual)
 
 
 def family_spectra(dom: np.ndarray, alpha: Fraction):

@@ -22,8 +22,11 @@ are exactly what makes a graph threshold, so the paper's conditions (ii) and
 vacancies of theirs) say: every removed cell is an edge, every filled cell is
 vacant, and every row the move touches is again the prefix row for its new
 degree.  The result is then threshold with the same vertex and edge counts.
-``bench/reference.py`` defines validity the same way, on dense matrices.  A
-rejection carries no text: ``validate`` formats its reason when it is read.
+The first two are integer tests of the spec's cached cell masks against
+``ThresholdGraph.edge_bits`` (``removed & ~edges``, ``filled & edges``), run
+before any row is read.  ``bench/reference.py`` defines validity the same
+way, on dense matrices.  A rejection carries no text: ``validate`` formats
+its reason, by the row rule, when it is read.
 
 A move never touches an edge set.  Each spec caches the bits its cells clear
 and set in every row they touch; the moved bitmask rows give the rewired
@@ -49,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import ThresholdGraph, from_degree_sequence, stepwise_row
+from .graphs import ThresholdGraph, edge_bit, from_degree_sequence, stepwise_row
 from .spectra import HALF, as_alpha, same_radius, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
@@ -131,6 +134,11 @@ class TransformSpec:
         return tuple((v, clear, fill) for v, (clear, fill) in sorted(edits.items()))
 
     @cached_property
+    def _cell_bits(self) -> tuple[int, int]:
+        """The removed and the filled cells as ``ThresholdGraph.edge_bits`` masks."""
+        return tuple(sum(1 << edge_bit(u, v) for u, v in cells) for cells in (self.removals(), self.additions()))
+
+    @cached_property
     def _ends(self) -> tuple[int, int, int]:
         """(w, q0, h0) of the eigenvector identities below."""
         cols, rows = zip(*self.removals())
@@ -171,12 +179,16 @@ def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -
     if not g.is_connected:
         return explain and "host graph is not connected"
     rows = g.stepwise_rows
-    for v, clear, fill in spec._row_edits:
-        gone, taken = clear & ~rows[v], fill & rows[v]
-        if gone:
-            return explain and f"(iii): a[{v},{gone.bit_length() - 1}] = 0, a removed cell is not an edge"
-        if taken:
-            return explain and f"(ii): a[{v},{taken.bit_length() - 1}] = 1, a filled cell is not vacant"
+    removed, filled = spec._cell_bits
+    if removed & ~g.edge_bits or filled & g.edge_bits:
+        if not explain:
+            return False
+        for v, clear, fill in spec._row_edits:  # name the first row with a bad cell
+            gone, taken = clear & ~rows[v], fill & rows[v]
+            if gone:
+                return f"(iii): a[{v},{gone.bit_length() - 1}] = 0, a removed cell is not an edge"
+            if taken:
+                return f"(ii): a[{v},{taken.bit_length() - 1}] = 1, a filled cell is not vacant"
     moved = {}
     for v, clear, fill in spec._row_edits:
         row = rows[v] ^ clear ^ fill
@@ -207,7 +219,8 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
     result's stepwise labels.  A threshold degree sequence has one
     realization, so the degrees fix the result, with the same vertex and
     edge counts; ``from_degree_sequence`` raises NotThresholdError should a
-    move ever leave the class, ValueError should it reorder labels.
+    move ever leave the class, ValueError should it reorder labels, and a
+    change of either count raises RuntimeError.
     """
     moved = _moved_rows(g, spec, explain=True)
     if isinstance(moved, str):
@@ -216,7 +229,8 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
     for v, row in moved.items():
         deg[v - 1] = row.bit_count()
     after = from_degree_sequence(deg)
-    assert after.n == g.n and after.m == g.m
+    if after.n != g.n or after.m != g.m:
+        raise RuntimeError(f"{spec.text} took {g.text} (n={g.n}, m={g.m}) to {after.text} (n={after.n}, m={after.m})")
     return after
 
 

@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
+from quasistar import graphs
 from quasistar.graphs import (
     DOMINATING,
     ISOLATED,
     LabeledGraph,
     NotThresholdError,
+    edge_bit,
     format_edge_list,
     from_creation_sequence,
     from_degree_sequence,
@@ -166,6 +168,14 @@ def test_stepwise_rows_match_labeled_bitrows():
             reference = creation_index_labeling(g)
             assert list(g.stepwise_rows) == bitrows(reference)
             assert to_labeled(g) == reference
+
+
+def test_edge_bits_are_the_stepwise_edge_set():
+    for n in range(1, 10):
+        for g in all_creation_sequences(n):
+            expected = sum(1 << edge_bit(u, v) for u, v in to_labeled(g).edges)
+            assert g.edge_bits == expected, g.text
+    assert [edge_bit(u, v) for v in range(2, 5) for u in range(1, v)] == list(range(6))
 
 
 def test_is_stepwise_rejects_bad_labelings():
@@ -389,6 +399,16 @@ def test_family_members_are_threshold_with_m_edges():
             except ValueError:
                 continue
             assert t.m == m and is_threshold(to_labeled(t))
+
+
+def test_family_size_check_raises_outside_asserts(monkeypatch):
+    # A builder that ends one dominating step short has too few edges; the
+    # check must raise, not assert, so that it survives ``python -O``.
+    build = graphs.ThresholdGraph
+    monkeypatch.setattr(graphs, "ThresholdGraph", lambda n, seq: build(n, seq[:-1] + (ISOLATED,)))
+    for family in (quasi_star, l_graph, tilde_s):
+        with pytest.raises(RuntimeError, match="edges, not m=8"):
+            family(6, 8)
 
 
 def test_family_range_errors():

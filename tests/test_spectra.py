@@ -10,6 +10,7 @@ from quasistar.graphs import (
     LabeledGraph,
     from_creation_sequence,
     quasi_star,
+    tilde_s,
     to_labeled,
 )
 from quasistar import spectra
@@ -289,7 +290,7 @@ def test_quotient_kernel_matches_dense_eigh(n):
             mat = alpha_matrix(to_labeled(g), alpha)
             vals, vecs = np.linalg.eigh(mat)
             spec = threshold_spectrum(g, alpha)
-            # Bit for bit: the batch, its one-graph call and the old per-graph solve.
+            # Bit for bit: the batch, the one-graph solve and the old per-graph solve.
             assert rho_batched == spec.rho == lone_quotient_rho(g, alpha)
             assert abs(spec.rho - vals[-1]) <= 1e-12
             assert spec.residual <= 1e-10
@@ -299,6 +300,31 @@ def test_quotient_kernel_matches_dense_eigh(n):
                 continue
             top = vecs[:, -1] if vecs[:, -1].sum() > 0 else -vecs[:, -1]
             assert np.max(np.abs(spec.perron - top)) <= 1e-9
+
+
+def assert_one_graph_solve_is_batch_row(graphs, alpha):
+    """The uncached one-graph solve equals its ``family_spectra`` row, bit for bit."""
+    dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
+    rho, x, residual = family_spectra(dom, alpha)
+    for g, rho_row, x_row, residual_row in zip(graphs, rho, x, residual):
+        one = spectra._threshold_spectrum.__wrapped__(g, alpha)
+        # Stepwise labels sort by descending degree; equal degrees are twins with equal entries.
+        lifted = x_row[np.argsort(-np.array(g.creation_degrees()), kind="stable")]
+        assert one.rho == rho_row, (g.text, alpha)
+        assert one.residual == residual_row, (g.text, alpha)
+        assert np.array_equal(one.perron, lifted), (g.text, alpha)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(3, 5), Fraction(9, 10), Fraction(999, 1000)])
+def test_one_graph_solve_matches_batch_row(alpha):
+    # Every threshold graph with n <= 12: connected, with isolated vertices, edgeless, n = 1.
+    for n in range(1, 13):
+        assert_one_graph_solve_is_batch_row(list(all_threshold(n)), alpha)
+
+
+def test_one_graph_solve_matches_batch_row_at_large_n():
+    # The near-tie of S(61,63) and S~(61,63) at alpha = 99/100.
+    assert_one_graph_solve_is_batch_row([quasi_star(61, 63), tilde_s(61, 63)], Fraction(99, 100))
 
 
 def test_threshold_spectrum_cache_consistency():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quasistar import transforms
 from quasistar.graphs import (
     LabeledGraph,
     from_creation_sequence,
@@ -14,6 +15,7 @@ from quasistar.graphs import (
     is_threshold,
     l_graph,
     quasi_star,
+    stepwise_row,
     threshold_from_labeled,
     to_labeled,
 )
@@ -265,6 +267,36 @@ def test_rejection_reasons_match_pinned_digest():
     assert digest.hexdigest() == PINNED_REASON_DIGEST
 
 
+def validate_by_rows(g, spec):
+    """The stepwise row rule, row by row: every removed cell an edge, every
+    filled cell vacant, every touched row again the prefix row of its degree."""
+    if not g.is_connected:
+        return False
+    rows = list(g.stepwise_rows)
+    for cells, present in ((spec.removals(), True), (spec.additions(), False)):
+        for u, v in cells:
+            if bool(rows[v] >> u & 1) != present:
+                return False
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+    return all(rows[v] == stepwise_row(v, rows[v].bit_count()) for v in range(1, g.n + 1))
+
+
+def test_bitboard_cell_tests_match_row_rule():
+    # Every host with n <= 9, connected or not, and every spec of every kind, dk = 1, 2.
+    pairs = valid = 0
+    for n in range(4, 10):
+        specs = [spec for kind in ("BASIC", "ROW", "COL") for dk in (1, 2) for spec in candidate_specs(n, kind, dk)]
+        for tail in itertools.product("ID", repeat=n - 1):
+            g = from_creation_sequence(("I",) + tail)
+            for spec in specs:
+                expected = validate_by_rows(g, spec)
+                assert bool(validate(g, spec)) == expected, (g.text, spec.text)
+                pairs += 1
+                valid += expected
+    assert (pairs, valid) == (86552, 651)
+
+
 def test_validate_index_out_of_range():
     with pytest.raises(ValueError):
         validate(quasi_star(5, 7), TransformSpec("BASIC", 6, 2, 4, 3))
@@ -311,6 +343,14 @@ def test_apply_preserves_counts_and_thresholdness():
         assert is_threshold(to_labeled(out))
         seen += 1
     assert seen >= 100
+
+
+def test_apply_size_check_raises_outside_asserts(monkeypatch):
+    # The check must raise, not assert, so that it survives ``python -O``.
+    g, spec = l_graph(7, 12), TransformSpec("ROW", 7, 2, 5, 3, 1)
+    monkeypatch.setattr(transforms, "from_degree_sequence", lambda deg: quasi_star(6, 10))
+    with pytest.raises(RuntimeError, match=r"\(n=7, m=12\) to IDIIDD \(n=6, m=10\)"):
+        apply_transform.__wrapped__(g, spec)
 
 
 # ---------------------------------------------------------------------------
