@@ -13,7 +13,8 @@ Under a degree-descending vertex numbering the adjacency matrix of a threshold
 graph is *stepwise*: a_hk = 1 with h > k forces a_ij = 1 for all j < i <= h,
 j <= k.  Equivalently every neighborhood is a prefix, and ``stepwise_row(v,
 d)`` is the one prefix rule: vertex v of degree d is adjacent to 1..d, or to
-1..d+1 except itself when v <= d.  ``ThresholdGraph.stepwise_rows`` applies it
+1..d+1 except itself when v <= d.  So a pair (u, v) with u < v is an edge
+exactly when u <= deg(v).  ``ThresholdGraph.stepwise_rows`` applies the rule
 to the degree sequence, ``to_labeled`` reads its edge set off those rows, and
 the rewiring module accepts a move exactly when every row it touches is again
 a ``stepwise_row``.
@@ -112,12 +113,6 @@ class ThresholdGraph:
         degrees = self.degree_sequence()
         return (0,) + tuple(stepwise_row(v, d) for v, d in enumerate(degrees, start=1))
 
-    @cached_property
-    def edge_bits(self) -> int:
-        """The edge set in stepwise labels as one integer: edge (u, v), u < v, is bit ``edge_bit(u, v)``."""
-        rows = enumerate(self.stepwise_rows[2:], start=2)
-        return sum((row & ((1 << v) - 2)) >> 1 << edge_bit(1, v) for v, row in rows)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThresholdGraph({self.text})"
 
@@ -129,11 +124,6 @@ def stepwise_row(v: int, d: int) -> int:
     """
     reach = d + (v <= d)
     return ((1 << (reach + 1)) - 2) & ~(1 << v)
-
-
-def edge_bit(u: int, v: int) -> int:
-    """Position of edge (u, v), u < v, in ``ThresholdGraph.edge_bits``: the columns of row v follow rows 2..v-1."""
-    return (v - 1) * (v - 2) // 2 + u - 1
 
 
 @dataclass(frozen=True)

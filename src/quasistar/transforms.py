@@ -22,11 +22,14 @@ are exactly what makes a graph threshold, so the paper's conditions (ii) and
 vacancies of theirs) say: every removed cell is an edge, every filled cell is
 vacant, and every row the move touches is again the prefix row for its new
 degree.  The result is then threshold with the same vertex and edge counts.
-The first two are integer tests of the spec's cached cell masks against
-``ThresholdGraph.edge_bits`` (``removed & ~edges``, ``filled & edges``), run
-before any row is read.  ``bench/reference.py`` defines validity the same
-way, on dense matrices.  A rejection carries no text: ``validate`` formats
-its reason, by the row rule, when it is read.
+The first two are two bit tests, run before any row is rebuilt.  A cell
+(u, v), u < v, is an edge exactly when u <= deg(v) (``graphs``), and degrees
+do not increase down the order, so the removed strip is all edges exactly
+when its last cell ``max(removals())`` is one, and the filled strip is all
+vacant exactly when its first cell ``min(additions())`` is.
+``bench/reference.py`` defines validity cell by cell, on dense matrices.  A
+rejection carries no text: ``validate`` formats its reason, by the row rule,
+when it is read.
 
 A move never touches an edge set.  Each spec caches the bits its cells clear
 and set in every row they touch; the moved bitmask rows give the rewired
@@ -52,7 +55,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import ThresholdGraph, edge_bit, from_degree_sequence, stepwise_row
+from .graphs import ThresholdGraph, from_degree_sequence, stepwise_row
 from .spectra import HALF, as_alpha, same_radius, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
@@ -134,15 +137,13 @@ class TransformSpec:
         return tuple((v, clear, fill) for v, (clear, fill) in sorted(edits.items()))
 
     @cached_property
-    def _cell_bits(self) -> tuple[int, int]:
-        """The removed and the filled cells as ``ThresholdGraph.edge_bits`` masks."""
-        return tuple(sum(1 << edge_bit(u, v) for u, v in cells) for cells in (self.removals(), self.additions()))
+    def _ends(self) -> tuple[tuple[int, int], tuple[int, int], int]:
+        """The last removed cell, the first filled cell and the top removed row.
 
-    @cached_property
-    def _ends(self) -> tuple[int, int, int]:
-        """(w, q0, h0) of the eigenvector identities below."""
-        cols, rows = zip(*self.removals())
-        return max(cols), min(col for col, _ in self.additions()), min(rows)
+        Their columns and the row are (w, q0, h0) of the eigenvector identities below.
+        """
+        removed = self.removals()
+        return max(removed), min(self.additions()), min(removed)[1]
 
 
 class ValidationResult:
@@ -179,8 +180,8 @@ def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -
     if not g.is_connected:
         return explain and "host graph is not connected"
     rows = g.stepwise_rows
-    removed, filled = spec._cell_bits
-    if removed & ~g.edge_bits or filled & g.edge_bits:
+    (w, h), (q0, p0), _ = spec._ends
+    if not rows[h] >> w & 1 or rows[p0] >> q0 & 1:
         if not explain:
             return False
         for v, clear, fill in spec._row_edits:  # name the first row with a bad cell
@@ -254,16 +255,18 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
 #
 # with h0 the topmost removed row (h for BASIC/ROW, h-l for COL).  A cell
 # (u, v) of ``removals()``/``additions()`` sits in row v and column u < v, so
-# w, q0 and h0 are read off the cells without naming the kind.  Both identities hold exactly at
-# the eigenpairs for every alpha in [0, 1); their numerical residuals are the
-# certificate's eq1/eq2 fields.
+# w, q0 and h0 are coordinates of the strips' extreme cells, read off
+# ``_ends`` without naming the kind: the columns of the last removed and the
+# first filled cell and the row of the first removed cell.  Both identities
+# hold exactly at the eigenpairs for every alpha in [0, 1); their numerical
+# residuals are the certificate's eq1/eq2 fields.
 
 def eq1_residual(rho1: float, x, spec: TransformSpec, alpha) -> float:
     """Residual of the host-side identity for the eigenpair (rho1, x)."""
     a = float(alpha)
     x = np.asarray(x, dtype=float)
     p, h = spec.p, spec.h
-    w, q0, _ = spec._ends
+    (w, _), (q0, _), _ = spec._ends
     lhs = (rho1 - w * a) * (x[h - 1] - x[p - 1])
     rhs = (w - q0 + 1) * a * x[p - 1] + (1.0 - a) * float(x[q0 - 1 : w].sum())
     return abs(lhs - rhs)

@@ -10,7 +10,6 @@ from quasistar.graphs import (
     ISOLATED,
     LabeledGraph,
     NotThresholdError,
-    edge_bit,
     format_edge_list,
     from_creation_sequence,
     from_degree_sequence,
@@ -170,12 +169,15 @@ def test_stepwise_rows_match_labeled_bitrows():
             assert to_labeled(g) == reference
 
 
-def test_edge_bits_are_the_stepwise_edge_set():
-    for n in range(1, 10):
+def test_stepwise_edge_iff_column_within_degree():
+    # The lemma behind the rewiring corner-cell rule: in stepwise labels, (u, v) with
+    # u < v is an edge iff u <= deg(v).  Every graph with n <= 10, connected or not.
+    for n in range(1, 11):
         for g in all_creation_sequences(n):
-            expected = sum(1 << edge_bit(u, v) for u, v in to_labeled(g).edges)
-            assert g.edge_bits == expected, g.text
-    assert [edge_bit(u, v) for v in range(2, 5) for u in range(1, v)] == list(range(6))
+            rows, deg = g.stepwise_rows, (0,) + g.degree_sequence()
+            for v in range(2, n + 1):
+                for u in range(1, v):
+                    assert bool(rows[v] >> u & 1) == (u <= deg[v]), (g.text, u, v)
 
 
 def test_is_stepwise_rejects_bad_labelings():
