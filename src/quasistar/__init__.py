@@ -4,7 +4,19 @@ Constructs the quasi-star and related threshold families, computes the
 spectral radius of alpha*D + (1-alpha)*A with certified residuals, applies
 radius-increasing edge rewirings, and verifies extremal characterizations by
 exhaustive search at desk scale.
+
+Importing the package runs BLAS on one thread unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set: its solves are too small
+for a BLAS thread pool to help.  A process that imported numpy before this
+package keeps the pool numpy started.
 """
+
+import os as _os
+
+# OpenBLAS reads its thread count once, when numpy first loads it, so this
+# must run before any import below pulls numpy in.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .graphs import (
     DOMINATING,

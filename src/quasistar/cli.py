@@ -15,7 +15,9 @@ usage error (a sweep that selects no family is one), and 3 on numerical
 non-convergence.  All output is produced by a single writer after the scan
 has finished, so repeated runs are byte-identical.  ``--threads`` is accepted
 and ignored: scans run on one thread, which measured faster than a GIL-bound
-thread pool.
+thread pool.  BLAS runs on one thread too, unless ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, because the solves are
+too small for a BLAS thread pool to help.
 """
 
 from __future__ import annotations

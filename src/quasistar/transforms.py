@@ -156,17 +156,21 @@ class ValidationResult:
         return self.ok
 
 
-class _Rejection(ValidationResult):
-    """A failed ``validate``; ``_moved_rows`` formats its reason only when it is read."""
+class _Rejection(tuple):
+    """A failed ``validate``: the pair (host, move), read like a ValidationResult.
 
+    Most calls reject, so a rejection runs no Python code until its reason is
+    read: a tuple subclass needs no ``__init__``, and it is falsy because
+    ``bool()`` of no argument is False.  ``_moved_rows`` formats the reason.
+    """
+
+    __slots__ = ()
     ok = False
-
-    def __init__(self, g: ThresholdGraph, spec: TransformSpec):
-        self._move = g, spec
+    __bool__ = staticmethod(bool)
 
     @property
     def reason(self) -> str:
-        return _moved_rows(*self._move, explain=True)
+        return _moved_rows(*self, explain=True)
 
 
 def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -> dict[int, int] | str | bool:
@@ -199,14 +203,14 @@ def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -
     return moved
 
 
-def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult:
+def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult | _Rejection:
     """Check the rewiring on g's stepwise matrix by the one prefix rule.
 
     Returns a truthy/falsy result; on failure ``reason`` names the first
     violation found by ``_moved_rows``, formatted only when it is read.
     Raises ValueError when indices exceed the host size.
     """
-    return ValidationResult(True) if _moved_rows(g, spec) else _Rejection(g, spec)
+    return ValidationResult(True) if _moved_rows(g, spec) else _Rejection((g, spec))
 
 
 # A move is certified at a few alphas in a row; 256 entries cover that reuse.

@@ -1,0 +1,47 @@
+"""Import-time behaviour of the package: BLAS runs on one thread unless the caller chose."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quasistar
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def import_in_child(code: str, **blas: str) -> str:
+    """Run ``code`` after ``import quasistar, numpy`` in a fresh interpreter.
+
+    The child sees none of the BLAS thread variables except those in ``blas``
+    and imports the same checkout as this test.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas, PYTHONPATH=str(Path(quasistar.__file__).parents[1]))
+    args = [sys.executable, "-c", "import os, quasistar, numpy\n" + code]
+    return subprocess.run(args, capture_output=True, check=True, env=env, text=True).stdout
+
+
+def child_blas_vars(**blas: str) -> dict:
+    code = f"import json; print(json.dumps({{v: os.environ.get(v) for v in {BLAS_THREAD_VARS!r}}}))"
+    return json.loads(import_in_child(code, **blas))
+
+
+def test_import_pins_blas_to_one_thread():
+    assert child_blas_vars() == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_import_starts_no_blas_thread():
+    out = import_in_child("print([l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')][0])")
+    assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_caller_thread_count_wins(var):
+    expected = dict.fromkeys(BLAS_THREAD_VARS)
+    expected[var] = "2"
+    assert child_blas_vars(**{var: "2"}) == expected
