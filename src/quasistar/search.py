@@ -46,6 +46,7 @@ from .graphs import (
     tilde_s,
 )
 from .spectra import (
+    FAMILY_CHUNK,
     HALF,
     alpha_matrices,
     as_alpha,
@@ -86,11 +87,6 @@ class FamilySpec:
     @property
     def label(self) -> str:
         return "H" if self.connected_only else "G"
-
-
-#: Graphs per ``family_spectra`` call in a threshold scan.  It bounds the
-#: scan's memory; at n = 30 larger chunks were no faster, only larger.
-FAMILY_CHUNK = 512
 
 
 def _dominating_masks(family: FamilySpec):

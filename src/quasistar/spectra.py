@@ -15,18 +15,21 @@ General graphs go through ``dense_spectra``: ``alpha_matrices`` assembles
 M_alpha for a (B, k, k) stack of adjacency matrices, and the kernel solves
 the stack.  ``alpha_matrix`` and ``spectral_radius`` are its one-graph
 callers; the latter solves each connected component as a stack of one and
-keeps the largest radius.  Threshold graphs have ``family_spectra``, on their
-run quotients: maximal runs of equal creation symbols (the first vertex joins
-the second's run; a trailing ``I`` run is split off as isolated vertices) are
-twin classes, hence an equitable partition, so rho is the top eigenvalue of
-the symmetrised quotient and the Perron vector is constant on each run.
-The call shape picks the path: ``threshold_spectrum`` is the cached
-one-graph solve, the same run quotient in plain Python floats around one
-``eigh`` call and bit for bit the batch's row.  Every pair is
-certified: the vector's sign makes its sum positive, no entry may be
-negative beyond rounding, and the infinity-norm residual of the full
-n-vector against M_alpha must stay below ``RESIDUAL_TOL`` (for threshold
-graphs by an O(n) prefix-sum product in creation order).
+keeps the largest radius.  Threshold graphs have one kernel,
+``family_spectra``, on their run quotients: maximal runs of equal creation
+symbols (the first vertex joins the second's run; a trailing ``I`` run is
+split off as isolated vertices) are twin classes, hence an equitable
+partition, so rho is the top eigenvalue of the symmetrised quotient and the
+Perron vector is constant on each run.  A scan passes it chunks of a family.
+``threshold_spectrum``, the cached one-graph entry, reads its graph's row
+from a table of the whole order, solved in one call at each alpha, when the
+order has at most ``FAMILY_CHUNK`` threshold graphs (n <= 10), and otherwise
+from a batch of one row.  Every pair is certified: the vector's sign makes
+its sum positive, no entry may be negative beyond rounding, and the
+infinity-norm residual of the full n-vector against M_alpha must stay below
+``RESIDUAL_TOL`` (for threshold graphs by an O(n) prefix-sum product in
+creation order).  A scan's chunk fails as a whole; a table row is gated on
+its own, so the error names the requested graph's residual.
 
 Besides the two kernels the module holds ``same_radius``, the one rule by
 which two radii count as equal, and ``char_poly``, the exact characteristic
@@ -35,8 +38,6 @@ polynomial of a small rational matrix such as a run quotient.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,6 +54,12 @@ RESIDUAL_TOL = 1e-11
 RHO_COMPARE_TOL = 1e-9
 
 HALF = Fraction(1, 2)
+
+#: Rows per ``family_spectra`` call: a threshold scan solves its family this
+#: many at a time, and an order with at most this many threshold graphs
+#: (n <= 10) is solved whole for ``threshold_spectrum``.  It bounds the memory
+#: of both; at n = 30 larger scan chunks were no faster, only larger.
+FAMILY_CHUNK = 512
 
 
 def same_radius(rho1, rho2):
@@ -180,53 +187,37 @@ def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
     return _threshold_spectrum(g, as_alpha(alpha))
 
 
-# Bounded so that long sweeps keep flat memory.  Scans never repeat a graph;
-# the rewiring certificates revisit spectra only near the current host, and
-# their hit count was the same at every bound from 64 to 4096 as unbounded.
+# The Spectrum cache: a miss reads one row of the threshold kernel in one of
+# its two call shapes and gates that row alone.  Bounded so that long sweeps
+# keep flat memory; rewiring certificates revisit spectra only near the
+# current host, and hit as often at every bound from 64 to 4096 as unbounded.
 @lru_cache(maxsize=1024)
 def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
-    """One graph's row of ``family_spectra``, bit for bit, lifted to stepwise labels.
-
-    The batch's runs, quotient, sign rule and residual, float operation for
-    float operation, in plain Python around one ``eigh`` on the k x k quotient.
-    """
-    a = float(alpha)
+    """g's row of ``family_spectra``, certified on its own, in stepwise labels."""
     dom = [sym == DOMINATING for sym in g.creation]
-    deg = g.creation_degrees()
-    runs, start = [], 0  # (symbol, degree, size): vertex i closes a run as ``cut`` marks it
-    for i, d in enumerate(deg):
-        if d and (i + 1 == g.n or deg[i + 1] != d):
-            runs.append((dom[i], d, i + 1 - start))
-            start = i + 1
-    x, rho = [0.0] * g.n, 0.0  # x in creation order; isolated vertices stay 0
-    if runs:
-        root = [math.sqrt(size) for _, _, size in runs]
-        quotient = [[0.0] * len(runs) for _ in runs]
-        for j, (sym, d, size) in enumerate(runs):  # a D run joins every earlier run
-            quotient[j][j] = a * d + (1.0 - a) * (size - 1.0) if sym else a * d
-            for i in range(j if sym else 0):
-                quotient[i][j] = quotient[j][i] = (1.0 - a) * (root[i] * root[j])
-        vals, vecs = np.linalg.eigh(np.array(quotient))
-        top = vecs[:, -1].tolist()
-        rho = float(vals[-1])
-        sign = sum(top)  # only its sign is read, so the summation order is free
-        x[:start] = [t / math.copysign(r, sign) for t, r, run in zip(top, root, runs) for _ in range(run[2])]
-    else:  # edgeless: every vertex is its own component with radius 0
-        x[0] = 1.0
-    # The batch's certificate, entry by entry.
-    cum_x = itertools.accumulate(x)
-    dom_x = list(itertools.accumulate(v if dm else 0.0 for v, dm in zip(x, dom)))
-    terms = [
-        abs((a * d - rho) * v + (1.0 - a) * ((c - v if dm else 0.0) + (dom_x[-1] - e)))
-        for v, c, e, dm, d in zip(x, cum_x, dom_x, dom, deg)
-    ]
-    residual = math.nan if math.isnan(sum(terms)) else max(terms)  # max() alone can skip a NaN
-    _gate(residual, min(x))
-    # Stepwise labels sort vertices by descending degree: D steps latest first,
-    # then I steps earliest first; only twins, with equal entries, tie.
-    perron = np.array([x[i] for i in range(g.n - 1, -1, -1) if dom[i]] + [v for v, dm in zip(x, dom) if not dm])
-    perron.setflags(write=False)
+    if 1 << (g.n - 1) <= FAMILY_CHUNK:
+        table, row = _order_table(g.n, alpha), sum(d << j for j, d in enumerate(dom[1:]))
+    else:
+        table, row = _stepwise_rows(np.array([dom]), alpha), 0
+    rho, perron, residual = float(table[0][row]), table[1][row].copy(), float(table[2][row])
+    _gate(residual, float(perron.min()))
+    perron.setflags(write=False)  # a copy, so that a cached Spectrum does not keep its table alive
     return Spectrum(rho=rho, perron=perron, iterations=0, residual=residual)
+
+
+@lru_cache(maxsize=16)  # 512 rows of 12 floats at n = 10; a sweep of one order keeps its alphas' tables
+def _order_table(n: int, alpha: Fraction):
+    """Ungated stepwise rows of all threshold graphs on n vertices; row r has D at j >= 1 for bit j - 1."""
+    r = np.arange(1 << (n - 1))
+    dom = np.zeros((len(r), n), dtype=bool)
+    dom[:, 1:] = r[:, None] >> np.arange(n - 1) & 1
+    return _stepwise_rows(dom, alpha)
+
+
+def _stepwise_rows(dom: np.ndarray, alpha: Fraction):
+    """Ungated rows, Perron vectors stably sorted by descending degree (only twins, equal entries, tie)."""
+    rho, x, residual, deg = _family_rows(dom, alpha)
+    return rho, np.take_along_axis(x, np.argsort(-deg, axis=1, kind="stable"), axis=1), residual
 
 
 def family_spectra(dom: np.ndarray, alpha: Fraction):
@@ -241,6 +232,13 @@ def family_spectra(dom: np.ndarray, alpha: Fraction):
     count, one stacked ``eigh`` per group with no padding, so each radius is
     bit for bit the one a lone solve of its quotient gives.
     """
+    rho, x, residual, _ = _family_rows(dom, alpha)
+    _gate(float(residual.max()), float(x.min()))
+    return rho, x, residual
+
+
+def _family_rows(dom: np.ndarray, alpha: Fraction):
+    """The kernel of ``family_spectra``, ungated: radii, creation-order vectors, residuals and degrees."""
     a = float(alpha)
     count, n = dom.shape
     # deg_i = D_i * i + #{j > i : D_j}.  Degree-0 vertices are isolated; the
@@ -282,8 +280,7 @@ def family_spectra(dom: np.ndarray, alpha: Fraction):
     dom_x = (dom * x).cumsum(axis=1)
     ax = dom * (x.cumsum(axis=1) - x) + (dom_x[:, -1:] - dom_x)
     residual = np.abs((a_deg - rho[:, None]) * x + (1.0 - a) * ax).max(axis=1)
-    _gate(float(residual.max()), float(x.min()))
-    return rho, x, residual
+    return rho, x, residual, deg
 
 
 def char_poly(matrix) -> list[Fraction]:

@@ -15,6 +15,7 @@ from quasistar.graphs import (
 )
 from quasistar import spectra
 from quasistar.search import ALL, THRESHOLD, FamilySpec, argmax_rho
+from quasistar.transforms import candidate_specs, certify, validate
 from quasistar.spectra import (
     RESIDUAL_TOL,
     NonConvergenceError,
@@ -201,10 +202,21 @@ def _perturbed_eigh(monkeypatch, shift):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
 
 
+def clear_threshold_caches():
+    spectra._threshold_spectrum.cache_clear()
+    spectra._order_table.cache_clear()
+
+
 @pytest.fixture
 def cold_spectrum_cache():
-    """Start with an empty threshold-spectrum cache, so the kernel really runs."""
-    spectra._threshold_spectrum.cache_clear()
+    """Empty the spectrum cache and the order tables, so the kernel really runs.
+
+    They are emptied again afterwards: a table solved under a patched
+    ``eigh`` must not serve a later test.
+    """
+    clear_threshold_caches()
+    yield
+    clear_threshold_caches()
 
 
 def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
@@ -302,29 +314,49 @@ def test_quotient_kernel_matches_dense_eigh(n):
             assert np.max(np.abs(spec.perron - top)) <= 1e-9
 
 
-def assert_one_graph_solve_is_batch_row(graphs, alpha):
-    """The uncached one-graph solve equals its ``family_spectra`` row, bit for bit."""
+def assert_served_spectrum_is_batch_row(graphs, alpha):
+    """A served ``threshold_spectrum`` equals its row of a separate ``family_spectra`` call, bit for bit."""
     dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
     rho, x, residual = family_spectra(dom, alpha)
     for g, rho_row, x_row, residual_row in zip(graphs, rho, x, residual):
-        one = spectra._threshold_spectrum.__wrapped__(g, alpha)
+        served = threshold_spectrum(g, alpha)
         # Stepwise labels sort by descending degree; equal degrees are twins with equal entries.
         lifted = x_row[np.argsort(-np.array(g.creation_degrees()), kind="stable")]
-        assert one.rho == rho_row, (g.text, alpha)
-        assert one.residual == residual_row, (g.text, alpha)
-        assert np.array_equal(one.perron, lifted), (g.text, alpha)
+        assert served.rho == rho_row, (g.text, alpha)
+        assert served.residual == residual_row, (g.text, alpha)
+        assert np.array_equal(served.perron, lifted), (g.text, alpha)
+        assert not served.perron.flags.writeable, g.text
 
 
 @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(3, 5), Fraction(9, 10), Fraction(999, 1000)])
-def test_one_graph_solve_matches_batch_row(alpha):
-    # Every threshold graph with n <= 12: connected, with isolated vertices, edgeless, n = 1.
+def test_one_graph_solve_matches_batch_row(alpha, cold_spectrum_cache):
+    # Every threshold graph with n <= 12: connected, with isolated vertices,
+    # edgeless, n = 1; whole-order tables up to n = 10, batches of one row above.
     for n in range(1, 13):
-        assert_one_graph_solve_is_batch_row(list(all_threshold(n)), alpha)
+        assert_served_spectrum_is_batch_row(list(all_threshold(n)), alpha)
 
 
-def test_one_graph_solve_matches_batch_row_at_large_n():
+def test_one_graph_solve_matches_batch_row_at_large_n(cold_spectrum_cache):
     # The near-tie of S(61,63) and S~(61,63) at alpha = 99/100.
-    assert_one_graph_solve_is_batch_row([quasi_star(61, 63), tilde_s(61, 63)], Fraction(99, 100))
+    assert_served_spectrum_is_batch_row([quasi_star(61, 63), tilde_s(61, 63)], Fraction(99, 100))
+
+
+def test_one_kernel_call_per_order(monkeypatch, cold_spectrum_cache):
+    # Certifying every valid k = q+1 move of every connected n = 9 host reads
+    # all spectra, before and after, from one whole-order solve.
+    kernel, batches = spectra._family_rows, []
+
+    def counted(dom, alpha):
+        batches.append(dom.shape)
+        return kernel(dom, alpha)
+
+    monkeypatch.setattr(spectra, "_family_rows", counted)
+    specs = [spec for kind in ("BASIC", "ROW", "COL") for spec in candidate_specs(9, kind, 1)]
+    moves = [(g, spec) for g in all_threshold(9) if g.is_connected for spec in specs if validate(g, spec)]
+    for g, spec in moves:
+        certify(g, spec, Fraction(3, 5))
+    assert len(moves) > 100
+    assert batches == [(256, 9)]
 
 
 def test_threshold_spectrum_cache_consistency():
