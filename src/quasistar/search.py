@@ -4,8 +4,9 @@ Threshold graphs of order n biject with creation sequences, and the edge
 count only depends on which steps are dominating (step i, 0-based, adds i
 edges), so the family with m edges is a subset-sum walk with pruning on the
 reachable totals; connected members end in D.  The walk emits D-position
-bitmasks.  ``argmax_rho`` solves them ``FAMILY_CHUNK`` at a time as bool rows
-of the batched kernel ``family_spectra``, with no graph object per member.
+bitmasks.  ``argmax_rho`` reads them ``FAMILY_CHUNK`` at a time as bool rows,
+and the batched kernel ``family_spectra`` solves only the members that an
+inertia count cannot prune, with no graph object per member.
 
 General graphs are enumerated once per order (n <= 7) up to isomorphism by
 edge augmentation with canonical-form rejection up to half the possible
@@ -48,8 +49,11 @@ from .graphs import (
 from .spectra import (
     FAMILY_CHUNK,
     HALF,
+    RHO_COMPARE_TOL,
     alpha_matrices,
     as_alpha,
+    count_above,
+    degree_rayleigh,
     dense_spectra,
     family_spectra,
     same_radius,
@@ -57,6 +61,7 @@ from .spectra import (
 )
 
 NEAR_TIE_WARNING = 1e-6
+_PICKS, _PRUNE_MARGIN = 8, 1e-6  # see ``_threshold_radii``
 MAX_EXHAUSTIVE_N = 7
 
 THRESHOLD = "THRESHOLD"
@@ -310,10 +315,30 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
 
 
 def _threshold_radii(family: FamilySpec, alpha: Fraction):
-    """Yield (D-position bitmasks, radii) of the family, ``FAMILY_CHUNK`` at a time."""
+    """Yield (D-position bitmasks, radii) of the members that can enter the report.
+
+    Each chunk solves its ``_PICKS`` best by ``degree_rayleigh``, then those
+    that ``count_above`` does not prove below x = R3 - ``_PRUNE_MARGIN``.  R3,
+    the third-largest radius solved so far, is taken while it does not tie the
+    largest, so its member is no maximizer: a pruned one, below R3, changes
+    neither the maximizers nor ``tie_gap``.  The margin exceeds RHO_COMPARE_TOL
+    and the gated radius error; a batch whose count error reaches it is solved whole.
+    """
     walk = _dominating_masks(family)
+    best, x = [-np.inf] * 3, -np.inf  # best: the three largest radii solved, ascending
     while chunk := list(islice(walk, FAMILY_CHUNK)):
-        yield chunk, family_spectra(_rows(chunk, family.n), alpha)[0]
+        dom = _rows(chunk, family.n)
+        whole = len(chunk) <= _PICKS  # solved whole, so no ranking is needed
+        order = np.arange(len(chunk)) if whole else np.argsort(-degree_rayleigh(dom, alpha), kind="stable")
+        for rows in order[:_PICKS], order[_PICKS:]:
+            if len(rows) and x > -np.inf:
+                above, unsure, error = count_above(dom[rows], alpha, x)
+                rows = rows[(above > 0) | unsure | (RHO_COMPARE_TOL + error >= _PRUNE_MARGIN)]
+            if len(rows):
+                radii = family_spectra(dom[rows], alpha)[0]
+                best = sorted(best + radii.tolist())[-3:]
+                x = x if same_radius(best[0], best[2]) else best[0] - _PRUNE_MARGIN
+                yield [chunk[i] for i in rows], radii
 
 
 def _all_radii(family: FamilySpec, alpha: Fraction):

@@ -20,7 +20,10 @@ keeps the largest radius.  Threshold graphs have one kernel,
 symbols (the first vertex joins the second's run; a trailing ``I`` run is
 split off as isolated vertices) are twin classes, hence an equitable
 partition, so rho is the top eigenvalue of the symmetrised quotient and the
-Perron vector is constant on each run.  A scan passes it chunks of a family.
+Perron vector is constant on each run.  A scan passes it only the members
+that ``count_above``, an O(n) count of the eigenvalues above x by the inertia
+of a tridiagonal congruent to M_alpha - xI, does not prove below its top
+radii; that count, not a residual, certifies each member it skips.
 ``threshold_spectrum``, the cached one-graph entry, reads its graph's row
 from a table of the whole order, solved in one call at each alpha, when the
 order has at most ``FAMILY_CHUNK`` threshold graphs (n <= 10), and otherwise
@@ -55,8 +58,8 @@ RHO_COMPARE_TOL = 1e-9
 
 HALF = Fraction(1, 2)
 
-#: Rows per ``family_spectra`` call: a threshold scan solves its family this
-#: many at a time, and an order with at most this many threshold graphs
+#: Rows per scan chunk: a threshold scan reads its family this many at a
+#: time, and an order with at most this many threshold graphs
 #: (n <= 10) is solved whole for ``threshold_spectrum``.  It bounds the memory
 #: of both; at n = 30 larger scan chunks were no faster, only larger.
 FAMILY_CHUNK = 512
@@ -241,10 +244,10 @@ def _family_rows(dom: np.ndarray, alpha: Fraction):
     """The kernel of ``family_spectra``, ungated: radii, creation-order vectors, residuals and degrees."""
     a = float(alpha)
     count, n = dom.shape
-    # deg_i = D_i * i + #{j > i : D_j}.  Degree-0 vertices are isolated; the
-    # others fall into runs of equal degree, which are the runs of equal
-    # symbols except that the first vertex joins the second's run.
-    deg = dom * np.arange(-1, n - 1) + dom[:, ::-1].cumsum(axis=1)[:, ::-1]
+    # Degree-0 vertices are isolated; the others fall into runs of equal
+    # degree, which are the runs of equal symbols except that the first
+    # vertex joins the second's run.
+    deg = _degrees(dom)
     a_deg = a * deg
     live = deg > 0
     # cut[:, i + 1] marks vertex i as the last of its run; column 0 opens run 0.
@@ -281,6 +284,45 @@ def _family_rows(dom: np.ndarray, alpha: Fraction):
     ax = dom * (x.cumsum(axis=1) - x) + (dom_x[:, -1:] - dom_x)
     residual = np.abs((a_deg - rho[:, None]) * x + (1.0 - a) * ax).max(axis=1)
     return rho, x, residual, deg
+
+
+def _degrees(dom: np.ndarray) -> np.ndarray:
+    """Creation-order degrees per row: deg_i = D_i * i + #{j > i : D_j}."""
+    return dom * np.arange(-1, dom.shape[1] - 1) + dom[:, ::-1].cumsum(axis=1)[:, ::-1]
+
+
+def degree_rayleigh(dom: np.ndarray, alpha: Fraction) -> np.ndarray:
+    """Lower bounds on the radii of ``dom``'s rows: the Rayleigh quotients of their degree vectors."""
+    a, deg = float(alpha), _degrees(dom).astype(float)
+    # d^T A d = 2 sum_i D_i d_i sum_{j<i} d_j: a dominating step joins its vertex to every earlier one.
+    quad = a * (deg**3).sum(axis=1) + 2.0 * (1.0 - a) * (dom * deg * (deg.cumsum(axis=1) - deg)).sum(axis=1)
+    return quad / np.maximum((deg * deg).sum(axis=1), 1.0)
+
+
+def count_above(dom: np.ndarray, alpha: Fraction, x):
+    """Per row of ``dom``: how many eigenvalues of M_alpha exceed x (a float or a (B, 1) column).
+
+    With delta_i = a*deg_i - x - (1-a) D_i, delta_n = D_n = 0 and E subtracting
+    row i+1 from row i, T = E (M - xI) E^T has T_ii = delta_i + delta_{i+1} +
+    (1-a)(D_i - D_{i+1}) and T_{i,i+1} = -delta_{i+1} (Jacobs, Trevisan and Tura,
+    Linear Algebra Appl. 439, 2013), and its positive LDL^T pivots count.  Also
+    returns the rows with a zero or non-finite pivot, whose counts are unsure,
+    and ``error`` = 64 n^2 eps (max|T| + max|x| + 1): forming T and its pivots
+    is backward stable to a few eps (max|T| + |x| + 1) an entry, and
+    ||E^-1||_2 <= n, so a sure count of 0 proves rho <= x + ``error``.
+    """
+    a, n = float(alpha), dom.shape[1]
+    delta = a * _degrees(dom) - x - (1.0 - a) * dom
+    off = np.pad(delta[:, 1:], ((0, 0), (0, 1)))  # delta_{i+1}
+    diag = delta + off - (1.0 - a) * np.diff(dom, axis=1, append=0.0)
+    pivots, pivot, square = np.empty_like(diag.T), 1.0, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n):
+            pivots[i] = pivot = diag[:, i] - square / pivot
+            square = off[:, i] * off[:, i]
+    scale = max(np.abs(diag).max(), np.abs(off).max()) + np.abs(x).max() + 1.0
+    error = 64 * n * n * np.finfo(float).eps * scale
+    return (pivots > 0).sum(axis=0), (~np.isfinite(pivots) | (pivots == 0)).any(axis=0), error
 
 
 def char_poly(matrix) -> list[Fraction]:

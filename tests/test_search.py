@@ -331,35 +331,83 @@ def test_argmax_report_does_not_depend_on_chunk_size(monkeypatch, chunk):
     assert [argmax_rho(family, alpha) for family, alpha in cases] == expected
 
 
-def test_streaming_argmax_matches_one_call_reference(monkeypatch):
-    """One graph per chunk against one ``family_spectra`` call per family.
+def one_call_reference(family, alpha):
+    """Radii from one unpruned ``family_spectra`` call on every member, and their report triple."""
+    masks = list(search._dominating_masks(family))
+    radii = family_spectra(search._rows(masks, family.n), alpha)[0]
+    rho_max = float(radii.max())
+    tie = same_radius(radii, rho_max)
+    below = radii[~tie]
+    return radii, (
+        rho_max,
+        rho_max - float(below.max()) if len(below) else float("inf"),
+        tuple(sorted("".join(search._creation(mask, family.n)) for mask in itertools.compress(masks, tie))),
+    )
 
-    A member that ties the running maximum and later falls out of the tie
-    must still count toward ``tie_gap``; the sweep checks that it has such
-    members.
+
+def test_streaming_argmax_matches_one_call_reference(monkeypatch):
+    """Scans of one graph per chunk and of 16 against one ``family_spectra`` call per family.
+
+    Chunks of one solve every member; chunks of 16 prune.  A member that ties
+    the running maximum and later falls out of the tie must still count
+    toward ``tie_gap``; the sweep checks that it has such members.
     """
-    monkeypatch.setattr(search, "FAMILY_CHUNK", 1)
     scans = with_dropouts = 0
     for n in range(1, 11):
         for connected_only in (True, False):
             for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
                 family = FamilySpec(n, m, connected_only=connected_only)
-                masks = list(search._dominating_masks(family))
-                for alpha in (Fraction(0), HALF, Fraction(3, 4)):
-                    radii = family_spectra(search._rows(masks, n), alpha)[0]
-                    rho_max = float(radii.max())
-                    tie = same_radius(radii, rho_max)
-                    below = radii[~tie]
-                    expected = (
-                        rho_max,
-                        rho_max - float(below.max()) if len(below) else float("inf"),
-                        tuple(sorted("".join(search._creation(mask, n)) for mask in itertools.compress(masks, tie))),
-                    )
-                    report = argmax_rho(family, alpha)
-                    assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
+                for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
+                    radii, expected = one_call_reference(family, alpha)
+                    tie = same_radius(radii, expected[0])
+                    for chunk in (1, 16):
+                        monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
+                        report = argmax_rho(family, alpha)
+                        assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
                     scans += 1
                     with_dropouts += bool((same_radius(radii, np.maximum.accumulate(radii)) & ~tie).any())
-    assert scans == 915 and with_dropouts > 0
+    assert scans == 1525 and with_dropouts > 0
+
+
+def solved_rows(monkeypatch):
+    """A list that grows by the row count of every ``family_spectra`` call a scan makes."""
+    kernel, rows = search.family_spectra, []
+
+    def counted(dom, alpha):
+        rows.append(len(dom))
+        return kernel(dom, alpha)
+
+    monkeypatch.setattr(search, "family_spectra", counted)
+    return rows
+
+
+def test_pruned_band_scan_matches_one_call_reference(monkeypatch):
+    # Every family of ``verify t42 --r 3 --n 24``: 21 families, 10,528 members per alpha.
+    rows, members = solved_rows(monkeypatch), 0
+    for m in range(46, 67):
+        for alpha in (HALF, Fraction(9, 10)):
+            family = FamilySpec(24, m)
+            radii, expected = one_call_reference(family, alpha)
+            members += len(radii)
+            report = argmax_rho(family, alpha)
+            assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
+    assert sum(rows) - members < members // 20  # the reference solved every member once
+
+
+@pytest.mark.parametrize("chunk", [3, 16])
+def test_argmax_with_one_pick_per_chunk_matches_reference(monkeypatch, chunk):
+    # Pruning from the radii of the walk's first chunk, with one member solved
+    # before each later chunk is pruned, must still keep every maximizer and
+    # the best non-maximizer, which sets tie_gap.
+    monkeypatch.setattr(search, "_PICKS", 1)
+    monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
+    cases = [(FamilySpec(12, 24), HALF), (FamilySpec(16, 32), HALF), (FamilySpec(14, 30), Fraction(3, 4)),
+             (FamilySpec(16, 40), Fraction(9, 10)), (FamilySpec(16, 40, connected_only=False), Fraction(0))]
+    for family, alpha in cases:
+        _, expected = one_call_reference(family, alpha)
+        report = argmax_rho(family, alpha)
+        assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
+        assert math.isfinite(report.tie_gap)
 
 
 def test_argmax_deterministic_and_thread_invariant():

@@ -14,14 +14,17 @@ from quasistar.graphs import (
     to_labeled,
 )
 from quasistar import spectra
-from quasistar.search import ALL, THRESHOLD, FamilySpec, argmax_rho
+from quasistar.search import ALL, FamilySpec, argmax_rho
 from quasistar.transforms import candidate_specs, certify, validate
 from quasistar.spectra import (
     RESIDUAL_TOL,
     NonConvergenceError,
+    alpha_matrices,
     alpha_matrix,
     as_alpha,
     char_poly,
+    count_above,
+    degree_rayleigh,
     family_spectra,
     spectral_radius,
     threshold_spectrum,
@@ -232,9 +235,9 @@ def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
     for err in (dense, quotient):
         assert err.value.residual > RESIDUAL_TOL
         assert err.value.residual == pytest.approx(1e-6 * float(np.max(x_dense)), rel=1e-6)
-    for universe in (THRESHOLD, ALL):
+    for family in (FamilySpec(6, 10), FamilySpec(6, 10, universe=ALL), FamilySpec(12, 24)):
         with pytest.raises(NonConvergenceError, match="did not converge") as scan:
-            argmax_rho(FamilySpec(6, 10, universe=universe), alpha)
+            argmax_rho(family, alpha)
         assert scan.value.residual > RESIDUAL_TOL
 
 
@@ -256,8 +259,10 @@ def test_wrong_lift_fails_the_residual(monkeypatch, cold_spectrum_cache):
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: (exact(mat)[0], exact(mat)[1][..., ::-1, :]))
     with pytest.raises(NonConvergenceError, match="did not converge"):
         threshold_spectrum(g, Fraction(5, 13))
-    with pytest.raises(NonConvergenceError, match="did not converge"):
-        argmax_rho(FamilySpec(6, 10), Fraction(5, 13))
+    # The scan of (12, 24) solves 8 of its 15 members and proves the rest out.
+    for family in (FamilySpec(6, 10), FamilySpec(12, 24)):
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            argmax_rho(family, Fraction(5, 13))
 
 
 def test_negative_perron_entry_is_an_error():
@@ -312,6 +317,29 @@ def test_quotient_kernel_matches_dense_eigh(n):
                 continue
             top = vecs[:, -1] if vecs[:, -1].sum() > 0 else -vecs[:, -1]
             assert np.max(np.abs(spec.perron - top)) <= 1e-9
+
+
+def test_inertia_count_matches_eigvalsh():
+    # Every threshold graph with n <= 9, probed at each of its eigenvalues and
+    # 1e-6 to either side; row k of graph i's block is probed at its k-th eigenvalue.
+    for n in range(1, 10):
+        graphs = list(all_threshold(n))
+        dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
+        adjacency = np.array([alpha_matrix(to_labeled(g), 0) for g in graphs]) > 0
+        for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(99, 100)):
+            spectrum = np.linalg.eigvalsh(alpha_matrices(adjacency, alpha))
+            assert np.all(degree_rayleigh(dom, alpha) <= spectrum[:, -1] + 1e-12)
+            rows, evs, at = np.repeat(dom, n, axis=0), np.repeat(spectrum, n, axis=0), spectrum.reshape(-1, 1)
+            for x in (at - 1e-6, at + 1e-6):
+                above, unsure, error = count_above(rows, alpha, x)
+                assert not unsure.any() and error < 1e-9
+                assert np.array_equal(above, (evs > x).sum(axis=1))
+            # At an eigenvalue the sign of its pivot is rounding: the count may
+            # take it either way, or say that it is unsure.
+            above, unsure, _ = count_above(rows, alpha, at)
+            low, high = (evs > at + 1e-9).sum(axis=1), (evs > at - 1e-9).sum(axis=1)
+            assert np.all(unsure | ((low <= above) & (above <= high)))
+            assert count_above(dom, alpha, np.nan)[1].all()  # a non-finite pivot is unsure too
 
 
 def assert_served_spectrum_is_batch_row(graphs, alpha):
