@@ -1,12 +1,15 @@
 """Exhaustive searches over graph families of fixed order and size.
 
-Threshold graphs of order n biject with creation sequences, and the edge
-count only depends on which steps are dominating (step i, 0-based, adds i
-edges), so the family with m edges is a subset-sum walk with pruning on the
-reachable totals; connected members end in D.  The walk emits D-position
-bitmasks.  ``argmax_rho`` reads them ``FAMILY_CHUNK`` at a time as bool rows,
-and the batched kernel ``family_spectra`` solves only the members that an
-inertia count cannot prune, with no graph object per member.
+Threshold graphs of order n biject with creation sequences; step i (0-based)
+adds i edges when it dominates and connected members end in D, so a family is
+a subset-sum walk.  ``threshold_argmax`` scans the families of one order and
+connectivity in one branch-and-bound walk over the steps, top down, take
+before skip (the order of ``_dominating_masks``, which ``enumerate_threshold``
+walks plainly), depth first in blocks of bool rows.  Subset-sum counts rank
+the nodes and unrank each family's seeds, its first and last members, which
+are solved first to set its x.  A node's members are subgraphs of its
+supergraph, and M_alpha grows entrywise with the edge set, so a node goes when
+``count_above`` proves that supergraph has no eigenvalue above x.
 
 General graphs are enumerated once per order (n <= 7) up to isomorphism by
 edge augmentation with canonical-form rejection up to half the possible
@@ -18,14 +21,14 @@ bitmasks: reachability by repeated boolean squaring marks the connected
 members, which ``dense_spectra`` solves in one call; disconnected members
 (only when ``connected_only`` is off) go through ``spectral_radius``.
 
-``argmax_rho`` reduces a scan's (bitmasks, radii) chunks as they arrive,
-keeping the running maximum, the members ``same_radius`` with it and the best
-radius below it, and reports the maximizers, the tie gap and a warning for a
-suspicious near-tie (gap below 1e-6).  The ``verify_*`` drivers compare the
-found maximizer sets against the predicted ones (the quasi-star, with the S~
-tie at alpha = 1/2 where it exists) and the ``audit`` helper extracts the
-staircase statistics kappa, delta_j, s, theta used in the structural analysis
-of extremal hosts.
+A scan reduces its solved members as they come to the maximizers, the tie
+gap and a warning for a suspicious near-tie (gap below 1e-6).  The
+``verify_*`` drivers make one walk per (n, alpha) and compare the found
+maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
+alpha = 1/2 where it exists); ``threshold_dominance_report`` reads its
+threshold side from one cached walk per (n, alpha).  The ``audit`` helper
+extracts the staircase statistics kappa, delta_j, s, theta used in the
+structural analysis of extremal hosts.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, islice, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .spectra import (
     alpha_matrices,
     as_alpha,
     count_above,
-    degree_rayleigh,
     dense_spectra,
     family_spectra,
     same_radius,
@@ -61,7 +63,7 @@ from .spectra import (
 )
 
 NEAR_TIE_WARNING = 1e-6
-_PICKS, _PRUNE_MARGIN = 8, 1e-6  # see ``_threshold_radii``
+_SEEDS, _PRUNE_MARGIN = 4, 1e-6  # see ``threshold_argmax``
 MAX_EXHAUSTIVE_N = 7
 
 THRESHOLD = "THRESHOLD"
@@ -278,81 +280,156 @@ class VerificationReport:
         )
 
 
+class _Reduction:
+    """A scan's running maximum, the members ``same_radius`` with it and the best radius below it, in any order."""
+
+    def __init__(self):
+        self.top, self.below, self.tied, self.radii = -np.inf, -np.inf, None, np.empty(0)
+
+    def add(self, members: np.ndarray, radii: np.ndarray) -> None:
+        self.top = max(self.top, float(radii.max(initial=-np.inf)))
+        radii = np.concatenate((self.radii, radii))
+        members = members if self.tied is None else np.concatenate((self.tied, members))
+        tie = same_radius(radii, self.top)
+        self.below = max(self.below, float(radii[~tie].max(initial=-np.inf)))
+        self.tied, self.radii = members[tie], radii[tie]
+
+    def report(self, family: FamilySpec, alpha: Fraction, key) -> VerificationReport:
+        if self.top == -np.inf:
+            raise ValueError(f"family {family} is empty")
+        gap = self.top - self.below  # inf when every member ties
+        warnings = (f"near-tie: best non-maximizer within {gap:.3e} of the maximum",) if gap < NEAR_TIE_WARNING else ()
+        return VerificationReport(family, alpha, tuple(sorted(map(key, self.tied))), self.top, gap, None, warnings)
+
+
 def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     """Scan the family for its spectral-radius maximizers at the given alpha."""
     alpha = as_alpha(alpha)
     if family.universe == THRESHOLD:
-        chunks, key = _threshold_radii(family, alpha), lambda mask: "".join(_creation(mask, family.n))
-    else:
-        chunks, key = _all_radii(family, alpha), lambda mask: edge_key(_labeled_from_mask(mask, family.n))
-    top, below = -np.inf, -np.inf
-    tied, tied_radii = [], np.empty(0)
-    for masks, radii in chunks:
-        top = max(top, float(radii.max()))
-        radii = np.concatenate((tied_radii, radii))
-        tie = same_radius(radii, top)
-        # Members that tied an earlier, lower maximum drop to ``below`` here.
-        below = max(below, float(radii[~tie].max(initial=-np.inf)))
-        tied = list(compress(tied + masks, tie.tolist()))
-        tied_radii = radii[tie]
-    if top == -np.inf:
-        raise ValueError(f"family {family} is empty")
-    tie_gap = top - below  # inf when every member ties
-    warnings = ()
-    if tie_gap < NEAR_TIE_WARNING:
-        warnings = (
-            f"near-tie: best non-maximizer within {tie_gap:.3e} of the maximum",
-        )
-    return VerificationReport(
-        family=family,
-        alpha=alpha,
-        maximizer_set=tuple(sorted(map(key, tied))),
-        rho_max=top,
-        tie_gap=tie_gap,
-        matches_theorem=None,
-        warnings=warnings,
-    )
+        return threshold_argmax([family], alpha)[0]
+    reduction = _Reduction()
+    reduction.add(*_all_radii(family, alpha))
+    return reduction.report(family, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), family.n)))
 
 
-def _threshold_radii(family: FamilySpec, alpha: Fraction):
-    """Yield (D-position bitmasks, radii) of the members that can enter the report.
+def _subset_counts(top: int, most: int) -> np.ndarray:
+    """c[t, s]: how many subsets of {1..t} sum to s (t <= top, s <= most); s in [-top, 0) reads the last, zero, columns."""
+    rows = [[1] + [0] * (most + top)]
+    for t in range(1, top + 1):
+        rows.append([rows[-1][s] + rows[-1][s - t] for s in range(most + 1)] + [0] * top)
+    return np.array(rows, dtype=np.int64)
 
-    Each chunk solves its ``_PICKS`` best by ``degree_rayleigh``, then those
-    that ``count_above`` does not prove below x = R3 - ``_PRUNE_MARGIN``.  R3,
-    the third-largest radius solved so far, is taken while it does not tie the
-    largest, so its member is no maximizer: a pruned one, below R3, changes
-    neither the maximizers nor ``tie_gap``.  The margin exceeds RHO_COMPARE_TOL
-    and the gated radius error; a batch whose count error reaches it is solved whole.
+
+def _children(rows, need, rank, fam, t: int, c: np.ndarray):
+    """The level-(t-1) children of level-t nodes in walk order: each node's take (step t dominates), then its skip."""
+    below = c[t - 1, need - t]  # members under the take child
+    kept = np.stack((below > 0, c[t - 1, need] > 0), axis=1).ravel().nonzero()[0]
+    parent, take = kept >> 1, kept & 1 == 0
+    rows = rows[parent]
+    rows[:, t] = take
+    return rows, need[parent] - t * take, rank[parent] + below[parent] * ~take, fam[parent]
+
+
+def _supergraphs(rows: np.ndarray, need: np.ndarray, t: int) -> np.ndarray:
+    """Each level-t node's supergraph: its decided steps and every undecided step 1..t that fits its need."""
+    sup = rows.copy()
+    sup[:, 1 : t + 1] |= np.arange(1, t + 1) <= need[:, None]
+    return sup
+
+
+def _unrank(rows, need, rank, top: int, c: np.ndarray) -> np.ndarray:
+    """The members at the given walk ranks under level-top nodes: step t dominates while the rank is under its take."""
+    rows, need, rank = rows.copy(), need.copy(), rank.copy()
+    for t in range(top, 0, -1):
+        below = c[t - 1, need - t]
+        rows[:, t] = take = rank < below
+        need -= t * take
+        rank -= below * ~take
+    return rows
+
+
+def threshold_argmax(families, alpha) -> list[VerificationReport]:
+    """Reports of THRESHOLD families of one order and connectivity, from one bounded walk.
+
+    A family's x is R3 - ``_PRUNE_MARGIN``, R3 the third-largest radius it has
+    solved, while R3 does not tie the largest: R3's member is no maximizer, so
+    a member below x changes neither the maximizers nor ``tie_gap``.  The
+    margin exceeds RHO_COMPARE_TOL and the gated radius error, and a block
+    whose count error reaches it is not pruned.
     """
-    walk = _dominating_masks(family)
-    best, x = [-np.inf] * 3, -np.inf  # best: the three largest radii solved, ascending
-    while chunk := list(islice(walk, FAMILY_CHUNK)):
-        dom = _rows(chunk, family.n)
-        whole = len(chunk) <= _PICKS  # solved whole, so no ranking is needed
-        order = np.arange(len(chunk)) if whole else np.argsort(-degree_rayleigh(dom, alpha), kind="stable")
-        for rows in order[:_PICKS], order[_PICKS:]:
-            if len(rows) and x > -np.inf:
-                above, unsure, error = count_above(dom[rows], alpha, x)
-                rows = rows[(above > 0) | unsure | (RHO_COMPARE_TOL + error >= _PRUNE_MARGIN)]
-            if len(rows):
-                radii = family_spectra(dom[rows], alpha)[0]
-                best = sorted(best + radii.tolist())[-3:]
-                x = x if same_radius(best[0], best[2]) else best[0] - _PRUNE_MARGIN
-                yield [chunk[i] for i in rows], radii
+    alpha, chunk, first = as_alpha(alpha), FAMILY_CHUNK, families[0]
+    if any(f.universe != THRESHOLD or (f.n, f.connected_only) != (first.n, first.connected_only) for f in families):
+        raise ValueError("threshold_argmax needs THRESHOLD families of one order and connectivity")
+    n, linked, count = first.n, first.connected_only and first.n > 1, len(families)
+    top = n - 2 if linked else n - 1  # connected members end in D
+    need = np.array([f.m - (n - 1) * linked for f in families], dtype=np.int64)
+    c = _subset_counts(top, int(need.max()))
+    size, reductions = c[top, need], [_Reduction() for _ in families]
+    best, x = np.full((count, 3), -np.inf), np.full(count, -np.inf)
+
+    def solve(rows, fam):
+        for lo in range(0, len(rows), chunk):
+            some, of = rows[lo : lo + chunk], fam[lo : lo + chunk]
+            radii = family_spectra(some, alpha)[0]
+            for f in np.flatnonzero(np.bincount(of)).tolist():
+                mine = of == f
+                reductions[f].add(some[mine], radii[mine])
+                best[f] = np.sort(np.concatenate((best[f], radii[mine])))[-3:]
+                if not same_radius(best[f, 0], best[f, 2]):
+                    x[f] = best[f, 0] - _PRUNE_MARGIN
+
+    def unsure(sup, fam):
+        """Rows whose count at their family's x does not prove them below it."""
+        keep = np.ones(len(fam), dtype=bool)
+        tested = np.isfinite(x[fam]).nonzero()[0]
+        for lo in range(0, len(tested), chunk):
+            some = tested[lo : lo + chunk]
+            above, doubt, error = count_above(sup[some], alpha, x[fam[some], None])
+            if RHO_COMPARE_TOL + error < _PRUNE_MARGIN:
+                keep[some] = (above > 0) | doubt
+        return keep
+
+    root = np.zeros((count, n), dtype=bool)
+    root[:, n - 1] = linked
+    ranks = [sorted({*range(min(_SEEDS, k)), *range(max(k - _SEEDS, 0), k)}) for k in size.tolist()]
+    fam = np.repeat(np.arange(count), [len(r) for r in ranks])
+    solve(_unrank(root[fam], need[fam], np.concatenate(ranks).astype(np.int64), top, c), fam)
+    wide = np.flatnonzero(size > 2 * _SEEDS)  # the other families are all seeds
+    start = [root[wide], need[wide], np.zeros(len(wide), dtype=np.int64), wide]
+    pending, t = [[part[:0] for part in start] for _ in range(top)] + [start], top
+    while t <= top:  # pending[t]: level-t nodes in walk order, all before pending[t + 1]
+        if t <= 1:  # leaves: a level-1 node takes step 1 exactly when it still needs 1
+            rows, left, rank, fam = pending[t]
+            if top:
+                rows[:, 1] |= left == 1
+            fresh = (rank >= _SEEDS) & (rank < size[fam] - _SEEDS)  # seeds are solved already
+            keep = unsure(rows[fresh], fam[fresh])
+            solve(rows[fresh][keep], fam[fresh][keep])
+            pending[t], t = [part[:0] for part in start], t + 1
+        elif len(pending[t][0]) and len(pending[t - 1][0]) < chunk:
+            kids = _children(*(part[:chunk] for part in pending[t]), t, c)
+            pending[t] = [part[chunk:] for part in pending[t]]
+            if t > 2 and t % 2:  # a node test every second level was fastest; leaves are tested when solved
+                keep = unsure(_supergraphs(kids[0], kids[1], t - 1), kids[3])
+                kids = [part[keep] for part in kids]
+            pending[t - 1] = [np.concatenate(pair) for pair in zip(pending[t - 1], kids)]
+        else:
+            t += -1 if len(pending[t - 1][0]) else 1
+    return [r.report(f, alpha, lambda row: "".join(np.where(row, DOMINATING, ISOLATED))) for r, f in zip(reductions, families)]
 
 
 def _all_radii(family: FamilySpec, alpha: Fraction):
-    """Yield (edge bitmasks, radii) of the ALL family as one chunk."""
+    """The ALL family's edge bitmasks and radii."""
     n = family.n
     masks, adj, connected = _class_stack(n, family.m)
     keep = connected | (not family.connected_only)
-    masks, adj, connected = [mask for mask, kept in zip(masks, keep) if kept], adj[keep], connected[keep]
+    masks, adj, connected = np.array(masks, dtype=np.int64)[keep], adj[keep], connected[keep]
     radii = np.empty(len(masks))
     if connected.any():
         radii[connected] = dense_spectra(alpha_matrices(adj[connected], alpha))[0]
     for i in (~connected).nonzero()[0]:
-        radii[i] = spectral_radius(_labeled_from_mask(masks[i], n), alpha).rho
-    yield masks, radii
+        radii[i] = spectral_radius(_labeled_from_mask(int(masks[i]), n), alpha).rho
+    return masks, radii
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:
@@ -392,12 +469,16 @@ def verify_sparse_band(n_values, alphas) -> list[VerificationReport]:
     for n in n_values:
         if n < 4:
             raise ValueError("sparse-band verification needs n >= 4")
-        for m in range(n - 1, 2 * n - 1):
-            for alpha in alphas:
-                family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
-                report = argmax_rho(family, alpha)
-                reports.append(_with_match(report, predicted_maximizers(n, m, alpha)))
+        reports.extend(_band_reports(n, range(n - 1, 2 * n - 1), alphas))
     return reports
+
+
+def _band_reports(n: int, ms: range, alphas, extra=()) -> list[VerificationReport]:
+    """Matched reports of the connected families (n, m), ordered by m then alpha: one walk per alpha."""
+    families = [FamilySpec(n, m, connected_only=True, universe=THRESHOLD) for m in ms]
+    scans = [threshold_argmax(families, alpha) for alpha in alphas] if families else []
+    return [_with_match(scan[i], predicted_maximizers(n, m, alpha), extra)
+            for i, m in enumerate(ms) for alpha, scan in zip(alphas, scans)]
 
 
 def verify_all_graphs_2n2(n_values) -> list[VerificationReport]:
@@ -442,13 +523,7 @@ def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
     bound = clique_band_hypothesis_bound(r)
     if n <= bound:
         extra = (f"outside-hypothesis: n={n} is not above the bound {bound:.3f}",)
-    reports = []
-    for m in range(lo + 1, hi + 1):
-        for alpha in alphas:
-            family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
-            report = argmax_rho(family, alpha)
-            reports.append(_with_match(report, predicted_maximizers(n, m, alpha), extra))
-    return reports
+    return _band_reports(n, range(lo + 1, hi + 1), alphas, extra)
 
 
 def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
@@ -457,13 +532,17 @@ def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
     ``matches_theorem`` is True when the two maxima are ``same_radius`` and
     every maximizer over all connected graphs is a threshold graph.
     """
-    all_family = FamilySpec(n, m, connected_only=True, universe=ALL)
-    thr_family = FamilySpec(n, m, connected_only=True, universe=THRESHOLD)
-    all_report = argmax_rho(all_family, alpha)
-    thr_report = argmax_rho(thr_family, alpha)
+    all_report = argmax_rho(FamilySpec(n, m, connected_only=True, universe=ALL), alpha)
+    thr_report = _connected_threshold_reports(n, all_report.alpha)[m - (n - 1)]
     agree = same_radius(all_report.rho_max, thr_report.rho_max)
     all_threshold = all(is_threshold(_from_edge_key(key, n)) for key in all_report.maximizer_set)
     return replace(all_report, matches_theorem=agree and all_threshold)
+
+
+@lru_cache(maxsize=16)  # ALL families stop at n = 7, so a sweep's orders and alphas fit
+def _connected_threshold_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
+    """Reports of the connected THRESHOLD families of order n, by m, from one walk."""
+    return tuple(threshold_argmax([FamilySpec(n, m) for m in range(n - 1, n * (n - 1) // 2 + 1)], alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ keeps the largest radius.  Threshold graphs have one kernel,
 symbols (the first vertex joins the second's run; a trailing ``I`` run is
 split off as isolated vertices) are twin classes, hence an equitable
 partition, so rho is the top eigenvalue of the symmetrised quotient and the
-Perron vector is constant on each run.  A scan passes it only the members
-that ``count_above``, an O(n) count of the eigenvalues above x by the inertia
-of a tridiagonal congruent to M_alpha - xI, does not prove below its top
-radii; that count, not a residual, certifies each member it skips.
+Perron vector is constant on each run.  A scan passes it only the leaves of
+its walk that ``count_above``, an O(n) count of the eigenvalues above x by
+the inertia of a tridiagonal congruent to M_alpha - xI, does not prove below
+the family's top radii; on a walk node's supergraph, that count, not a
+residual, certifies every member under the node.
 ``threshold_spectrum``, the cached one-graph entry, reads its graph's row
 from a table of the whole order, solved in one call at each alpha, when the
 order has at most ``FAMILY_CHUNK`` threshold graphs (n <= 10), and otherwise
@@ -58,10 +59,10 @@ RHO_COMPARE_TOL = 1e-9
 
 HALF = Fraction(1, 2)
 
-#: Rows per scan chunk: a threshold scan reads its family this many at a
-#: time, and an order with at most this many threshold graphs
-#: (n <= 10) is solved whole for ``threshold_spectrum``.  It bounds the memory
-#: of both; at n = 30 larger scan chunks were no faster, only larger.
+#: Rows per block: a threshold scan expands, tests and solves its walk's
+#: frontier in blocks of at most this many bool rows, and an order with at
+#: most this many threshold graphs (n <= 10) is solved whole for
+#: ``threshold_spectrum``.  It bounds the memory of both.
 FAMILY_CHUNK = 512
 
 
@@ -291,14 +292,6 @@ def _degrees(dom: np.ndarray) -> np.ndarray:
     return dom * np.arange(-1, dom.shape[1] - 1) + dom[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
-def degree_rayleigh(dom: np.ndarray, alpha: Fraction) -> np.ndarray:
-    """Lower bounds on the radii of ``dom``'s rows: the Rayleigh quotients of their degree vectors."""
-    a, deg = float(alpha), _degrees(dom).astype(float)
-    # d^T A d = 2 sum_i D_i d_i sum_{j<i} d_j: a dominating step joins its vertex to every earlier one.
-    quad = a * (deg**3).sum(axis=1) + 2.0 * (1.0 - a) * (dom * deg * (deg.cumsum(axis=1) - deg)).sum(axis=1)
-    return quad / np.maximum((deg * deg).sum(axis=1), 1.0)
-
-
 def count_above(dom: np.ndarray, alpha: Fraction, x):
     """Per row of ``dom``: how many eigenvalues of M_alpha exceed x (a float or a (B, 1) column).
 
@@ -312,17 +305,23 @@ def count_above(dom: np.ndarray, alpha: Fraction, x):
     ||E^-1||_2 <= n, so a sure count of 0 proves rho <= x + ``error``.
     """
     a, n = float(alpha), dom.shape[1]
-    delta = a * _degrees(dom) - x - (1.0 - a) * dom
-    off = np.pad(delta[:, 1:], ((0, 0), (0, 1)))  # delta_{i+1}
-    diag = delta + off - (1.0 - a) * np.diff(dom, axis=1, append=0.0)
-    pivots, pivot, square = np.empty_like(diag.T), 1.0, 0.0
+    # Transposed: row i of each (n, B) array is step i of every graph.
+    step = (1.0 - a) * dom.T  # (1-a) D_i
+    delta = (a * _degrees(dom)).T.copy()
+    delta -= np.transpose(x)
+    delta -= step
+    off = delta[1:]  # off[i] = delta_{i+1}
+    diag = delta.copy()
+    diag[:-1] += off
+    diag[:-1] += step[:-1] - step[1:]
+    diag[-1] += step[-1]
+    pivots, square = diag.copy(), off * off
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n):
-            pivots[i] = pivot = diag[:, i] - square / pivot
-            square = off[:, i] * off[:, i]
-    scale = max(np.abs(diag).max(), np.abs(off).max()) + np.abs(x).max() + 1.0
+        for i in range(1, n):
+            pivots[i] -= np.divide(square[i - 1], pivots[i - 1], out=square[i - 1])
+    scale = max(diag.max(), -diag.min(), off.max(initial=0.0), -off.min(initial=0.0)) + np.abs(x).max() + 1.0
     error = 64 * n * n * np.finfo(float).eps * scale
-    return (pivots > 0).sum(axis=0), (~np.isfinite(pivots) | (pivots == 0)).any(axis=0), error
+    return np.count_nonzero(pivots > 0, axis=0), (~np.isfinite(pivots) | (pivots == 0)).any(axis=0), error
 
 
 def char_poly(matrix) -> list[Fraction]:

@@ -28,12 +28,13 @@ from quasistar.search import (
     enumerate_all,
     enumerate_threshold,
     predicted_maximizers,
+    threshold_argmax,
     threshold_dominance_report,
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
 )
-from quasistar.spectra import RHO_COMPARE_TOL, family_spectra, same_radius, spectral_radius
+from quasistar.spectra import RHO_COMPARE_TOL, alpha_matrices, family_spectra, same_radius, spectral_radius
 
 HALF = Fraction(1, 2)
 
@@ -346,60 +347,73 @@ def one_call_reference(family, alpha):
 
 
 def test_streaming_argmax_matches_one_call_reference(monkeypatch):
-    """Scans of one graph per chunk and of 16 against one ``family_spectra`` call per family.
+    """One walk per (n, connectivity, alpha) over every family, in blocks of one node and of 16.
 
-    Chunks of one solve every member; chunks of 16 prune.  A member that ties
-    the running maximum and later falls out of the tie must still count
-    toward ``tie_gap``; the sweep checks that it has such members.
+    Each family's report must equal one ``family_spectra`` call on all its
+    members.  Blocks of one node test and solve every node alone; blocks of
+    16 mix families.  A member that ties the running maximum and later falls
+    out of the tie must still count toward ``tie_gap``; the sweep checks that
+    it has such members.
     """
     scans = with_dropouts = 0
     for n in range(1, 11):
         for connected_only in (True, False):
-            for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
-                family = FamilySpec(n, m, connected_only=connected_only)
-                for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
-                    radii, expected = one_call_reference(family, alpha)
+            low = n - 1 if connected_only else 0
+            families = [FamilySpec(n, m, connected_only=connected_only) for m in range(low, n * (n - 1) // 2 + 1)]
+            for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
+                references = [one_call_reference(family, alpha) for family in families]
+                for chunk in (1, 16):
+                    monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
+                    reports = threshold_argmax(families, alpha)
+                    assert [(r.rho_max, r.tie_gap, r.maximizer_set) for r in reports] == [e for _, e in references]
+                for radii, expected in references:
                     tie = same_radius(radii, expected[0])
-                    for chunk in (1, 16):
-                        monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
-                        report = argmax_rho(family, alpha)
-                        assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
                     scans += 1
                     with_dropouts += bool((same_radius(radii, np.maximum.accumulate(radii)) & ~tie).any())
     assert scans == 1525 and with_dropouts > 0
 
 
-def solved_rows(monkeypatch):
-    """A list that grows by the row count of every ``family_spectra`` call a scan makes."""
-    kernel, rows = search.family_spectra, []
+def counted_rows(monkeypatch, *names):
+    """A list that grows by the row count of every call the scan makes to the named kernels."""
+    rows = []
+    for name in names:
+        def counted(dom, *args, _kernel=getattr(search, name)):
+            rows.append(len(dom))
+            return _kernel(dom, *args)
 
-    def counted(dom, alpha):
-        rows.append(len(dom))
-        return kernel(dom, alpha)
-
-    monkeypatch.setattr(search, "family_spectra", counted)
+        monkeypatch.setattr(search, name, counted)
     return rows
 
 
 def test_pruned_band_scan_matches_one_call_reference(monkeypatch):
     # Every family of ``verify t42 --r 3 --n 24``: 21 families, 10,528 members per alpha.
-    rows, members = solved_rows(monkeypatch), 0
-    for m in range(46, 67):
-        for alpha in (HALF, Fraction(9, 10)):
-            family = FamilySpec(24, m)
-            radii, expected = one_call_reference(family, alpha)
-            members += len(radii)
-            report = argmax_rho(family, alpha)
-            assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
-    assert sum(rows) - members < members // 20  # the reference solved every member once
+    rows, members = counted_rows(monkeypatch, "family_spectra"), 0
+    families = [FamilySpec(24, m) for m in range(46, 67)]
+    for alpha in (HALF, Fraction(9, 10)):
+        references = [one_call_reference(family, alpha) for family in families]  # not counted
+        members += sum(len(radii) for radii, _ in references)
+        reports = threshold_argmax(families, alpha)
+        assert [(r.rho_max, r.tie_gap, r.maximizer_set) for r in reports] == [e for _, e in references]
+    assert members == 2 * 10528 and sum(rows) < members // 20
+
+
+def test_walk_blocks_stay_within_family_chunk(monkeypatch):
+    # The frontier is expanded and tested in blocks, and leaves are solved in
+    # blocks, of at most FAMILY_CHUNK rows, so memory does not grow with the band.
+    alphas = [HALF, Fraction(9, 10)]
+    expected = verify_clique_band(3, 24, alphas)
+    monkeypatch.setattr(search, "FAMILY_CHUNK", 16)
+    rows = counted_rows(monkeypatch, "count_above", "family_spectra")
+    assert verify_clique_band(3, 24, alphas) == expected
+    assert len(rows) > 100 and max(rows) <= 16
 
 
 @pytest.mark.parametrize("chunk", [3, 16])
-def test_argmax_with_one_pick_per_chunk_matches_reference(monkeypatch, chunk):
-    # Pruning from the radii of the walk's first chunk, with one member solved
-    # before each later chunk is pruned, must still keep every maximizer and
-    # the best non-maximizer, which sets tie_gap.
-    monkeypatch.setattr(search, "_PICKS", 1)
+def test_argmax_with_one_seed_per_end_matches_reference(monkeypatch, chunk):
+    # Pruning from one quasi-star-like and one quasi-complete-like seed per
+    # family, tightened only by the leaves solved since, must still keep
+    # every maximizer and the best non-maximizer, which sets tie_gap.
+    monkeypatch.setattr(search, "_SEEDS", 1)
     monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
     cases = [(FamilySpec(12, 24), HALF), (FamilySpec(16, 32), HALF), (FamilySpec(14, 30), Fraction(3, 4)),
              (FamilySpec(16, 40), Fraction(9, 10)), (FamilySpec(16, 40, connected_only=False), Fraction(0))]
@@ -408,6 +422,64 @@ def test_argmax_with_one_pick_per_chunk_matches_reference(monkeypatch, chunk):
         report = argmax_rho(family, alpha)
         assert (report.rho_max, report.tie_gap, report.maximizer_set) == expected
         assert math.isfinite(report.tie_gap)
+
+
+def walk_start(n, connected_only):
+    """The walk's first undecided step and the columns fixed at its root."""
+    linked = connected_only and n > 1
+    return (n - 2 if linked else n - 1), linked
+
+
+def test_walk_ranks_unrank_to_the_walk_order():
+    # The subset-sum counts rank every member as ``_dominating_masks`` yields it.
+    for n in range(1, 10):
+        for connected_only in (True, False):
+            top, linked = walk_start(n, connected_only)
+            for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
+                rows = search._rows(list(search._dominating_masks(FamilySpec(n, m, connected_only))), n)
+                need = m - (n - 1) * linked
+                counts = search._subset_counts(top, need)
+                assert counts[top, need] == len(rows)
+                root = np.zeros((len(rows), n), dtype=bool)
+                root[:, n - 1] = linked
+                unranked = search._unrank(root, np.full(len(rows), need), np.arange(len(rows)), top, counts)
+                assert np.array_equal(unranked, rows), (n, m, connected_only)
+
+
+def dense_radii(dom, alpha):
+    """Top eigenvalue by ``eigvalsh`` of each row's threshold graph: u < v adjacent iff step v dominates."""
+    n = dom.shape[1]
+    pos = np.arange(n)
+    adj = dom[:, np.maximum.outer(pos, pos)] & ~np.eye(n, dtype=bool)
+    return np.linalg.eigvalsh(alpha_matrices(adj, alpha))[:, -1]
+
+
+def test_supergraph_bounds_every_completion():
+    # Every node of every threshold family with n <= 10: its supergraph's
+    # radius is at least that of each member below it, which is what makes
+    # dropping a node whose supergraph counts no eigenvalue above x sound.
+    nodes = 0
+    for n in range(2, 11):
+        order = np.arange(1 << (n - 1))
+        every = np.zeros((len(order), n), dtype=bool)
+        every[:, 1:] = order[:, None] >> np.arange(n - 1) & 1
+        for connected_only in (True, False):
+            top, linked = walk_start(n, connected_only)
+            dom = every[every[:, n - 1]] if linked else every
+            for alpha in (Fraction(0), HALF, Fraction(99, 100)):
+                rho = dense_radii(dom, alpha)
+                for t in range(1, top + 1):
+                    # A level-t node: the steps above t decided, and the sum its undecided steps 1..t must reach.
+                    prefix, need = dom.copy(), dom[:, 1 : t + 1] @ np.arange(1, t + 1)
+                    prefix[:, : t + 1] = False
+                    keys, node = np.unique(np.column_stack((prefix, need)), axis=0, return_inverse=True)
+                    node = node.ravel()
+                    best = np.full(len(keys), -np.inf)
+                    np.maximum.at(best, node, rho)
+                    supergraphs = search._supergraphs(keys[:, :n].astype(bool), keys[:, n], t)
+                    assert np.all(dense_radii(supergraphs, alpha) >= best - 1e-10), (n, connected_only, alpha, t)
+                    nodes += len(keys)
+    assert nodes > 10000
 
 
 def test_argmax_deterministic_and_thread_invariant():
