@@ -48,6 +48,7 @@ from .search import (
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
+    verify_threshold_dominance,
 )
 from .spectra import (
     NonConvergenceError,

@@ -47,10 +47,10 @@ from .search import (
     edge_key,
     enumerate_all,
     enumerate_threshold,
-    threshold_dominance_report,
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
+    verify_threshold_dominance,
 )
 from .spectra import NonConvergenceError, as_alpha, spectral_radius
 from .transforms import (
@@ -204,13 +204,7 @@ def _cmd_verify(args) -> int:
         for n in _parse_range(args.n or "24"):
             reports.extend(verify_clique_band(args.r, n, alphas))
     elif args.target == "lemma24":
-        n_values = _parse_range(args.n or "4..7")
-        alphas = _parse_alphas(args.alpha or "0,1/2,3/4")
-        reports = []
-        for n in n_values:
-            for m in range(n - 1, n * (n - 1) // 2 + 1):
-                for alpha in alphas:
-                    reports.append(threshold_dominance_report(n, m, alpha))
+        reports = verify_threshold_dominance(_parse_range(args.n or "4..7"), _parse_alphas(args.alpha or "0,1/2,3/4"))
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown verification target {args.target!r}")
     if not reports:

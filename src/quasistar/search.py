@@ -12,21 +12,21 @@ supergraph, and M_alpha grows entrywise with the edge set, so a node goes when
 ``count_above`` proves that supergraph has no eigenvalue above x.
 
 General graphs are enumerated once per order (n <= 7) up to isomorphism by
-edge augmentation with canonical-form rejection up to half the possible
-edges, and above that as complements; the canonical form of an edge-subset
-bitmask is its minimum over all vertex permutations, one float32
-product of its edge bits with a precomputed permutation/weight table.  An
-``ALL`` family is scanned as one (B, n, n) adjacency stack built from those
-bitmasks: reachability by repeated boolean squaring marks the connected
-members, which ``dense_spectra`` solves in one call; disconnected members
-(only when ``connected_only`` is off) go through ``spectral_radius``.
+orderly generation from K_n down to half the possible edges, and below that
+as complements; the canonical form of an edge-subset bitmask is its minimum
+over all vertex permutations, one float32 product of its edge bits with a
+precomputed permutation/weight table.  Reachability by repeated boolean
+squaring marks each order's connected classes, which ``dense_spectra``
+solves in one call per (n, alpha) for every ``ALL`` family of the order;
+disconnected classes (only when ``connected_only`` is off) go through
+``spectral_radius``.
 
 A scan reduces its solved members as they come to the maximizers, the tie
 gap and a warning for a suspicious near-tie (gap below 1e-6).  The
 ``verify_*`` drivers make one walk per (n, alpha) and compare the found
 maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
-alpha = 1/2 where it exists); ``threshold_dominance_report`` reads its
-threshold side from one cached walk per (n, alpha).  The ``audit`` helper
+alpha = 1/2 where it exists); ``verify_threshold_dominance`` compares one
+dense solve with one threshold walk per (n, alpha).  The ``audit`` helper
 extracts the staircase statistics kappa, delta_j, s, theta used in the
 structural analysis of extremal hosts.
 """
@@ -124,10 +124,8 @@ def _creation(mask: int, n: int) -> tuple[str, ...]:
 
 
 def _rows(masks, n: int) -> np.ndarray:
-    """The (len(masks), n) bool matrix of the low n bits of the given bitmasks."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little").view(bool)
+    """The (len(masks), n) bool matrix of the low n bits of the given bitmasks (n < 64)."""
+    return np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n) & 1 == 1
 
 
 def enumerate_threshold(family: FamilySpec):
@@ -165,10 +163,10 @@ def _perm_weights(n: int) -> np.ndarray:
     return np.ldexp(np.float32(1), slot)
 
 
-def _canonical_many(masks, n: int, chunk: int = 128) -> list[int]:
+def _canonical_many(masks, n: int, chunk: int = 64) -> list[int]:
     """Canonical form (minimum relabeling) of each bitmask in masks.
 
-    Chunks of 128 keep the (n! x chunk) float32 product at 2.6 MB for n = 7.
+    Chunks of 64 keep the (n! x chunk) float32 product at 1.3 MB for n = 7; it sets a lemma24 run's peak RSS.
     """
     weights = _perm_weights(n)
     cols = _rows(masks, weights.shape[1]).T.astype(np.float32)
@@ -180,33 +178,39 @@ def _canonical_many(masks, n: int, chunk: int = 128) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _graph_classes(n: int):
-    """Canonical bitmasks of all isomorphism classes, indexed by edge count."""
-    if n > MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive enumeration limited to n <= {MAX_EXHAUSTIVE_N}")
-    bits = 1 << np.arange(n * (n - 1) // 2, dtype=np.int64)
-    levels = [(0,)]
-    for _ in range(len(bits) // 2):
-        prev = np.array(levels[-1], dtype=np.int64)[:, None]
-        grown = set((prev | bits)[prev & bits == 0].tolist())
-        levels.append(tuple(sorted(set(_canonical_many(list(grown), n)))))
+    """Canonical bitmasks of all isomorphism classes, indexed by edge count, generated orderly (Read, 1978).
+
+    A least image with its lowest vacant slot filled is a least image, so each class with m - 1 edges is met
+    once: as the child of the class with m edges that drops an edge below that class's lowest vacancy.
+    """
+    FamilySpec(n, 0, connected_only=False, universe=ALL)  # raises unless 1 <= n <= MAX_EXHAUSTIVE_N
+    top = n * (n - 1) // 2
+    bits, full = 1 << np.arange(top, dtype=np.int64), (1 << top) - 1
+    down = [(full,)]  # down[j]: the classes with top - j edges
+    for _ in range(top // 2):
+        parents = np.array(down[-1], dtype=np.int64)[:, None]
+        kids = (parents ^ bits)[bits < (~parents & parents + 1)]  # drop an edge below the lowest vacancy
+        down.append(tuple(sorted(kids[kids == _canonical_many(kids, n)].tolist())))
     # Complementing maps the classes with m edges one to one onto those with
-    # E - m, so the upper half costs a canonical form per class, not per
-    # extension: 522 instead of 4,763 at n = 7.
-    full = (1 << len(bits)) - 1
-    for m in range(len(levels), len(bits) + 1):
-        levels.append(tuple(sorted(_canonical_many([full ^ c for c in levels[len(bits) - m]], n))))
-    return tuple(levels)
+    # top - m, so the lower half costs a canonical form per class.
+    up = [tuple(sorted(_canonical_many([full ^ c for c in down[m]], n))) for m in range(top + 1 - len(down))]
+    return tuple(up) + tuple(reversed(down))
 
 
-def _class_stack(n: int, m: int):
-    """The classes of size m: bitmasks, (B, n, n) adjacency and connectivity."""
-    masks = _graph_classes(n)[m]
+@lru_cache(maxsize=None)
+def _order_classes(n: int):
+    """Every class of order n: bitmasks, connectivity and where each edge count starts."""
+    levels = _graph_classes(n)
+    masks = np.array([mask for level in levels for mask in level], dtype=np.int64)
+    return masks, _connected(_adjacency(masks, n)), np.cumsum([0] + [len(level) for level in levels]).tolist()
+
+
+def _adjacency(masks: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n, n) bool adjacency stack of the given edge bitmasks."""
     ends = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2) - 1
-    edges = _rows(masks, len(ends))
     adj = np.zeros((len(masks), n, n), dtype=bool)
-    adj[:, ends[:, 0], ends[:, 1]] = edges
-    adj[:, ends[:, 1], ends[:, 0]] = edges
-    return masks, adj, _connected(adj)
+    adj[:, ends[:, 0], ends[:, 1]] = adj[:, ends[:, 1], ends[:, 0]] = _rows(masks, len(ends))
+    return adj
 
 
 def _connected(adj: np.ndarray) -> np.ndarray:
@@ -239,8 +243,9 @@ def enumerate_all(family: FamilySpec):
     """Yield one representative per isomorphism class of the ALL family."""
     if family.universe != ALL:
         raise ValueError("enumerate_all needs an ALL family")
-    masks, _, connected = _class_stack(family.n, family.m)
-    for mask, linked in zip(masks, connected.tolist()):
+    masks, connected, starts = _order_classes(family.n)
+    level = slice(starts[family.m], starts[family.m + 1])
+    for mask, linked in zip(masks[level].tolist(), connected[level].tolist()):
         if linked or not family.connected_only:
             yield _labeled_from_mask(mask, family.n)
 
@@ -307,9 +312,7 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     alpha = as_alpha(alpha)
     if family.universe == THRESHOLD:
         return threshold_argmax([family], alpha)[0]
-    reduction = _Reduction()
-    reduction.add(*_all_radii(family, alpha))
-    return reduction.report(family, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), family.n)))
+    return _all_reports(family.n, alpha, family.connected_only)[family.m]
 
 
 def _subset_counts(top: int, most: int) -> np.ndarray:
@@ -418,18 +421,20 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
     return [r.report(f, alpha, lambda row: "".join(np.where(row, DOMINATING, ISOLATED))) for r, f in zip(reductions, families)]
 
 
-def _all_radii(family: FamilySpec, alpha: Fraction):
-    """The ALL family's edge bitmasks and radii."""
-    n = family.n
-    masks, adj, connected = _class_stack(n, family.m)
-    keep = connected | (not family.connected_only)
-    masks, adj, connected = np.array(masks, dtype=np.int64)[keep], adj[keep], connected[keep]
-    radii = np.empty(len(masks))
-    if connected.any():
-        radii[connected] = dense_spectra(alpha_matrices(adj[connected], alpha))[0]
-    for i in (~connected).nonzero()[0]:
+def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[int, VerificationReport]:
+    """Reports of the ALL families of order n, by m: one dense solve of the order's connected classes."""
+    masks, connected, starts = _order_classes(n)
+    keep, radii = connected | (not connected_only), np.empty(len(masks))
+    radii[connected] = dense_spectra(alpha_matrices(_adjacency(masks[connected], n), alpha))[0]
+    for i in (keep & ~connected).nonzero()[0]:
         radii[i] = spectral_radius(_labeled_from_mask(int(masks[i]), n), alpha).rho
-    return masks, radii
+    reports = {}
+    for m in range((n - 1) * connected_only, len(starts) - 1):
+        level, reduction = slice(starts[m], starts[m + 1]), _Reduction()
+        reduction.add(masks[level][keep[level]], radii[level][keep[level]])
+        family = FamilySpec(n, m, connected_only, ALL)
+        reports[m] = reduction.report(family, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), n)))
+    return reports
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:
@@ -532,17 +537,26 @@ def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
     ``matches_theorem`` is True when the two maxima are ``same_radius`` and
     every maximizer over all connected graphs is a threshold graph.
     """
-    all_report = argmax_rho(FamilySpec(n, m, connected_only=True, universe=ALL), alpha)
-    thr_report = _connected_threshold_reports(n, all_report.alpha)[m - (n - 1)]
-    agree = same_radius(all_report.rho_max, thr_report.rho_max)
-    all_threshold = all(is_threshold(_from_edge_key(key, n)) for key in all_report.maximizer_set)
-    return replace(all_report, matches_theorem=agree and all_threshold)
+    FamilySpec(n, m, universe=ALL)  # raises unless n - 1 <= m <= n(n-1)/2 and n <= 7
+    return _dominance_reports(n, as_alpha(alpha))[m - (n - 1)]
 
 
-@lru_cache(maxsize=16)  # ALL families stop at n = 7, so a sweep's orders and alphas fit
-def _connected_threshold_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
-    """Reports of the connected THRESHOLD families of order n, by m, from one walk."""
-    return tuple(threshold_argmax([FamilySpec(n, m) for m in range(n - 1, n * (n - 1) // 2 + 1)], alpha))
+def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
+    """``threshold_dominance_report`` for every connected (n, m), ordered by n, m then alpha: one scan per (n, alpha)."""
+    scans = ([_dominance_reports(n, as_alpha(alpha)) for alpha in alphas] for n in n_values)
+    return [report for scan in scans for row in zip(*scan) for report in row]
+
+
+@lru_cache(maxsize=16)  # for callers that ask m by m; the sweep driver reads each (n, alpha) once
+def _dominance_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
+    """The dominance reports of order n, by m, from one dense solve and one threshold walk."""
+    reports = _all_reports(n, alpha)
+    thresholds = threshold_argmax([FamilySpec(n, m) for m in reports], alpha)
+    return tuple(
+        replace(report, matches_theorem=same_radius(report.rho_max, threshold.rho_max)
+                and all(is_threshold(_from_edge_key(key, n)) for key in report.maximizer_set))
+        for report, threshold in zip(reports.values(), thresholds)
+    )
 
 
 # ---------------------------------------------------------------------------

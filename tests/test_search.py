@@ -33,6 +33,7 @@ from quasistar.search import (
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
+    verify_threshold_dominance,
 )
 from quasistar.spectra import RHO_COMPARE_TOL, alpha_matrices, family_spectra, same_radius, spectral_radius
 
@@ -212,6 +213,26 @@ def test_canonical_many_matches_permutation_minimum(n, count):
     assert search._canonical_many(masks, n, chunk=3) == expected
 
 
+def test_filling_the_lowest_vacancy_of_a_class_gives_a_class():
+    # The lemma behind the orderly generator: each class below K_n is the
+    # canonical child of exactly one class with one more edge.
+    for n in range(1, 8):
+        levels = search._graph_classes(n)
+        for m, level in enumerate(levels[:-1]):
+            above = set(levels[m + 1])
+            assert all(mask | (~mask & mask + 1) in above for mask in level), (n, m)
+
+
+def test_orderly_generation_canonicalises_few_masks(monkeypatch):
+    seen = []
+    canonical_many = search._canonical_many
+    monkeypatch.setattr(search, "_canonical_many", lambda masks, n: seen.append(len(masks)) or canonical_many(masks, n))
+    classes = search._graph_classes.__wrapped__(7)  # uncached, so every form is counted
+    assert classes == search._graph_classes(7)
+    assert sum(map(len, classes)) == KNOWN_CLASS_COUNTS[7]
+    assert sum(seen) <= 2100  # the augment-and-dedup generator canonicalised 4,916 masks
+
+
 def test_vectorised_connectivity_matches_components():
     # Every labeled graph with n <= 5, and every labeled path with n <= 7:
     # the paths include those whose vertex 1 is an end, at distance n - 1.
@@ -251,7 +272,7 @@ def per_graph_argmax(family: FamilySpec, alpha):
 @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(3, 4)])
 def test_batched_all_scan_matches_per_graph_solve(alpha, connected_only):
     disconnected_maximizers = 0
-    for n in range(1, 7):
+    for n in range(1, 8 if connected_only else 7):  # n = 7 connected only, to keep the per-graph reference quick
         for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
             family = FamilySpec(n, m, connected_only=connected_only, universe=ALL)
             report = argmax_rho(family, alpha)
@@ -557,6 +578,42 @@ def test_threshold_dominance_all_m_n5():
     for m in range(4, 11):
         for alpha in (Fraction(0), HALF, Fraction(3, 4)):
             assert threshold_dominance_report(5, m, alpha).matches_theorem
+
+
+@pytest.mark.parametrize("n, m", [(5, 3), (5, 2), (5, 11), (8, 7), (8, 20)])
+def test_threshold_dominance_rejects_infeasible_families(n, m):
+    # Below n - 1 a per-order index would go negative and answer for another m.
+    with pytest.raises(ValueError):
+        threshold_dominance_report(n, m, HALF)
+
+
+@pytest.mark.parametrize("n, message", [(0, "need n >= 1"), (8, "limited to n <= 7")])
+def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message):
+    with pytest.raises(ValueError, match=message):
+        verify_threshold_dominance([n], [HALF])
+
+
+def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
+    # More alphas than the per-order cache holds must not re-scan every order.
+    calls = {"threshold_argmax": 0, "dense_spectra": 0}
+
+    def counted(name):
+        real = getattr(search, name)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counted(name))
+    search._dominance_reports.cache_clear()
+    alphas = [Fraction(k, 17) for k in range(17)]
+    reports = verify_threshold_dominance([7], alphas)
+    search._dominance_reports.cache_clear()
+    assert calls == {"threshold_argmax": 17, "dense_spectra": 17}
+    assert [(r.family.m, r.alpha) for r in reports] == [(m, a) for m in range(6, 22) for a in alphas]
+    assert all(r.matches_theorem for r in reports)
+    assert reports[(9 - 6) * 17 + 5] == threshold_dominance_report(7, 9, alphas[5])
 
 
 # ---------------------------------------------------------------------------
