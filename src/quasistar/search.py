@@ -21,8 +21,8 @@ solves in one call per (n, alpha) for every ``ALL`` family of the order;
 disconnected classes (only when ``connected_only`` is off) go through
 ``spectral_radius``.
 
-A scan reduces its solved members as they come to the maximizers, the tie
-gap and a warning for a suspicious near-tie (gap below 1e-6).  The
+One reduction per scan keeps each family's maximizers, tie gap, near-tie
+warning and best non-maximizer, whose radius less 1e-6 is the walk's x.  The
 ``verify_*`` drivers make one walk per (n, alpha) and compare the found
 maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
 alpha = 1/2 where it exists); ``verify_threshold_dominance`` compares one
@@ -286,29 +286,30 @@ class VerificationReport:
 
 
 class _Reduction:
-    """A scan's running maximum, the members ``same_radius`` with it and the best radius below it, in any order."""
+    """Per family index: the running maximum ``top``, the members ``same_radius`` with it and the best radius below."""
 
-    def __init__(self):
-        self.top, self.below, self.tied, self.radii = -np.inf, -np.inf, None, np.empty(0)
+    def __init__(self, count: int):
+        self.top, self.below = np.full((2, count), -np.inf)
+        self.tied, self.fam, self.radii = None, np.empty(0, int), np.empty(0)
 
-    def add(self, members: np.ndarray, radii: np.ndarray) -> None:
-        self.top = max(self.top, float(radii.max(initial=-np.inf)))
-        radii = np.concatenate((self.radii, radii))
+    def add(self, members: np.ndarray, radii: np.ndarray, fam: np.ndarray) -> None:
+        np.maximum.at(self.top, fam, radii)
+        fam, radii = np.concatenate((self.fam, fam)), np.concatenate((self.radii, radii))
         members = members if self.tied is None else np.concatenate((self.tied, members))
-        tie = same_radius(radii, self.top)
-        self.below = max(self.below, float(radii[~tie].max(initial=-np.inf)))
-        self.tied, self.radii = members[tie], radii[tie]
+        tie = same_radius(radii, self.top[fam])
+        np.maximum.at(self.below, fam[~tie], radii[~tie])
+        self.tied, self.fam, self.radii = members[tie], fam[tie], radii[tie]
 
-    def report(self, family: FamilySpec, alpha: Fraction, key) -> VerificationReport:
-        if self.top == -np.inf:
-            raise ValueError(f"family {family} is empty")
-        gap = self.top - self.below  # inf when every member ties
-        warnings = (f"near-tie: best non-maximizer within {gap:.3e} of the maximum",) if gap < NEAR_TIE_WARNING else ()
-        return VerificationReport(family, alpha, tuple(sorted(map(key, self.tied))), self.top, gap, None, warnings)
+    def reports(self, families, alpha: Fraction, key):
+        for f, (family, top, gap) in enumerate(zip(families, self.top.tolist(), (self.top - self.below).tolist())):
+            if top == -np.inf:
+                raise ValueError(f"family {family} is empty")
+            near = (f"near-tie: best non-maximizer within {gap:.3e} of the maximum",) if gap < NEAR_TIE_WARNING else ()
+            yield VerificationReport(family, alpha, tuple(sorted(map(key, self.tied[self.fam == f]))), top, gap, None, near)
 
 
 def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
-    """Scan the family for its spectral-radius maximizers at the given alpha."""
+    """Scan the family for its maximizers at alpha; an ALL family is read from one solve of its whole order."""
     alpha = as_alpha(alpha)
     if family.universe == THRESHOLD:
         return threshold_argmax([family], alpha)[0]
@@ -352,13 +353,13 @@ def _unrank(rows, need, rank, top: int, c: np.ndarray) -> np.ndarray:
 
 
 def threshold_argmax(families, alpha) -> list[VerificationReport]:
-    """Reports of THRESHOLD families of one order and connectivity, from one bounded walk.
+    """Reports of THRESHOLD families of one order and connectivity, from one bounded walk and one ``_Reduction``.
 
-    A family's x is R3 - ``_PRUNE_MARGIN``, R3 the third-largest radius it has
-    solved, while R3 does not tie the largest: R3's member is no maximizer, so
-    a member below x changes neither the maximizers nor ``tie_gap``.  The
-    margin exceeds RHO_COMPARE_TOL and the gated radius error, and a block
-    whose count error reaches it is not pruned.
+    A family's x is its best non-maximizer radius, the reduction's ``below``,
+    less ``_PRUNE_MARGIN``; ``below`` only rises (``top`` does, and a member
+    leaving the tie is a non-maximizer), so a member below x changes neither
+    the maximizers nor ``tie_gap``.  The margin exceeds RHO_COMPARE_TOL and the
+    gated radius error, and a block whose count error reaches it is not pruned.
     """
     alpha, chunk, first = as_alpha(alpha), FAMILY_CHUNK, families[0]
     if any(f.universe != THRESHOLD or (f.n, f.connected_only) != (first.n, first.connected_only) for f in families):
@@ -367,27 +368,20 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
     top = n - 2 if linked else n - 1  # connected members end in D
     need = np.array([f.m - (n - 1) * linked for f in families], dtype=np.int64)
     c = _subset_counts(top, int(need.max()))
-    size, reductions = c[top, need], [_Reduction() for _ in families]
-    best, x = np.full((count, 3), -np.inf), np.full(count, -np.inf)
+    size, reduction = c[top, need], _Reduction(count)
 
     def solve(rows, fam):
         for lo in range(0, len(rows), chunk):
-            some, of = rows[lo : lo + chunk], fam[lo : lo + chunk]
-            radii = family_spectra(some, alpha)[0]
-            for f in np.flatnonzero(np.bincount(of)).tolist():
-                mine = of == f
-                reductions[f].add(some[mine], radii[mine])
-                best[f] = np.sort(np.concatenate((best[f], radii[mine])))[-3:]
-                if not same_radius(best[f, 0], best[f, 2]):
-                    x[f] = best[f, 0] - _PRUNE_MARGIN
+            some = rows[lo : lo + chunk]
+            reduction.add(some, family_spectra(some, alpha)[0], fam[lo : lo + chunk])
 
     def unsure(sup, fam):
         """Rows whose count at their family's x does not prove them below it."""
-        keep = np.ones(len(fam), dtype=bool)
-        tested = np.isfinite(x[fam]).nonzero()[0]
+        keep, x = np.ones(len(fam), dtype=bool), reduction.below[fam] - _PRUNE_MARGIN
+        tested = np.isfinite(x).nonzero()[0]
         for lo in range(0, len(tested), chunk):
             some = tested[lo : lo + chunk]
-            above, doubt, error = count_above(sup[some], alpha, x[fam[some], None])
+            above, doubt, error = count_above(sup[some], alpha, x[some, None])
             if RHO_COMPARE_TOL + error < _PRUNE_MARGIN:
                 keep[some] = (above > 0) | doubt
         return keep
@@ -418,7 +412,7 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
             pending[t - 1] = [np.concatenate(pair) for pair in zip(pending[t - 1], kids)]
         else:
             t += -1 if len(pending[t - 1][0]) else 1
-    return [r.report(f, alpha, lambda row: "".join(np.where(row, DOMINATING, ISOLATED))) for r, f in zip(reductions, families)]
+    return list(reduction.reports(families, alpha, lambda row: "".join(np.where(row, DOMINATING, ISOLATED))))
 
 
 def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[int, VerificationReport]:
@@ -428,13 +422,11 @@ def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[i
     radii[connected] = dense_spectra(alpha_matrices(_adjacency(masks[connected], n), alpha))[0]
     for i in (keep & ~connected).nonzero()[0]:
         radii[i] = spectral_radius(_labeled_from_mask(int(masks[i]), n), alpha).rho
-    reports = {}
-    for m in range((n - 1) * connected_only, len(starts) - 1):
-        level, reduction = slice(starts[m], starts[m + 1]), _Reduction()
-        reduction.add(masks[level][keep[level]], radii[level][keep[level]])
-        family = FamilySpec(n, m, connected_only, ALL)
-        reports[m] = reduction.report(family, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), n)))
-    return reports
+    ms = range((n - 1) * connected_only, len(starts) - 1)
+    reduction, fam = _Reduction(len(ms)), np.repeat(np.arange(len(starts) - 1) - ms.start, np.diff(starts))
+    reduction.add(masks[keep], radii[keep], fam[keep])  # a family index is m - ms.start
+    families = [FamilySpec(n, m, connected_only, ALL) for m in ms]
+    return dict(zip(ms, reduction.reports(families, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), n)))))
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:

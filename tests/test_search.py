@@ -409,6 +409,7 @@ def counted_rows(monkeypatch, *names):
 def test_pruned_band_scan_matches_one_call_reference(monkeypatch):
     # Every family of ``verify t42 --r 3 --n 24``: 21 families, 10,528 members per alpha.
     rows, members = counted_rows(monkeypatch, "family_spectra"), 0
+    tested = counted_rows(monkeypatch, "count_above")
     families = [FamilySpec(24, m) for m in range(46, 67)]
     for alpha in (HALF, Fraction(9, 10)):
         references = [one_call_reference(family, alpha) for family in families]  # not counted
@@ -416,6 +417,42 @@ def test_pruned_band_scan_matches_one_call_reference(monkeypatch):
         reports = threshold_argmax(families, alpha)
         assert [(r.rho_max, r.tie_gap, r.maximizer_set) for r in reports] == [e for _, e in references]
     assert members == 2 * 10528 and sum(rows) < members // 20
+    # Pruning at each family's best non-maximizer tests 5,178 nodes here; the
+    # third-largest radius solved, the level it replaced, tested 5,878.
+    assert sum(tested) < 5400
+
+
+def test_prune_level_is_below_every_best_non_maximizer(monkeypatch):
+    """Every x a scan counts at lies ``_PRUNE_MARGIN`` below its family's final best non-maximizer, or lower.
+
+    So a member proven under x is neither a maximizer nor the member that sets
+    ``tie_gap``.  And a family with more members than its seeds and with a
+    non-maximizer is tested at a finite x: pruning does start.
+    """
+    levels = []
+
+    def recorded(dom, alpha, x, _kernel=search.count_above):
+        levels.extend(np.ravel(x).tolist())
+        return _kernel(dom, alpha, x)
+
+    monkeypatch.setattr(search, "count_above", recorded)
+    scans = pruned = 0
+    for n in range(1, 13):
+        for connected_only in (True, False):
+            for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
+                family = FamilySpec(n, m, connected_only=connected_only)
+                size = sum(1 for _ in search._dominating_masks(family))
+                for alpha in (Fraction(0), HALF, Fraction(99, 100)):
+                    levels.clear()
+                    report = argmax_rho(family, alpha)
+                    finite = [x for x in levels if math.isfinite(x)]
+                    bound = report.rho_max - report.tie_gap - search._PRUNE_MARGIN
+                    assert all(x <= np.nextafter(bound, math.inf) for x in finite), (family, alpha)
+                    if size > 2 * search._SEEDS and math.isfinite(report.tie_gap):
+                        assert finite, (family, alpha)
+                        pruned += 1
+                    scans += 1
+    assert scans == 1590 and pruned == 603
 
 
 def test_walk_blocks_stay_within_family_chunk(monkeypatch):
