@@ -2,14 +2,16 @@
 
 Threshold graphs of order n biject with creation sequences; step i (0-based)
 adds i edges when it dominates and connected members end in D, so a family is
-a subset-sum walk.  ``threshold_argmax`` scans the families of one order and
-connectivity in one branch-and-bound walk over the steps, top down, take
-before skip (the order of ``_dominating_masks``, which ``enumerate_threshold``
-walks plainly), depth first in blocks of bool rows.  Subset-sum counts rank
-the nodes and unrank each family's seeds, its first and last members, which
-are solved first to set its x.  A node's members are subgraphs of its
-supergraph, and M_alpha grows entrywise with the edge set, so a node goes when
-``count_above`` proves that supergraph has no eigenvalue above x.
+a subset-sum walk.  The walk decides the steps top down, take before skip, so
+it meets a family's members in descending creation mask (bit i set when step i
+dominates), and subset-sum counts rank them in that order.
+``enumerate_threshold`` unranks every rank in blocks.  ``threshold_argmax``
+scans the families of one order and connectivity in one branch-and-bound walk,
+depth first in blocks of bool rows; it unranks each family's seeds, its first
+and last members, which are solved first to set its x.  A node's members are
+subgraphs of its supergraph, and M_alpha grows entrywise with the edge set, so
+a node goes when ``count_above`` proves that supergraph has no eigenvalue
+above x.
 
 General graphs are enumerated once per order (n <= 7) up to isomorphism by
 orderly generation from K_n down to half the possible edges, and below that
@@ -64,6 +66,7 @@ from .spectra import (
 
 NEAR_TIE_WARNING = 1e-6
 _SEEDS, _PRUNE_MARGIN = 4, 1e-6  # see ``threshold_argmax``
+_COUNT_CAP = 2**62 - 1  # subset-sum counts saturate here, inside int64 when two are added
 MAX_EXHAUSTIVE_N = 7
 
 THRESHOLD = "THRESHOLD"
@@ -96,44 +99,19 @@ class FamilySpec:
         return "H" if self.connected_only else "G"
 
 
-def _dominating_masks(family: FamilySpec):
-    """Subset-sum walk: yield each member's D positions as a bitmask.
-
-    Bit i is set when creation step i (0-based) is dominating; it adds i
-    edges.  Members come in the canonical walk order.
-    """
-    n, m = family.n, family.m
-    if n == 1:
-        yield 0
-        return
-    # State: the highest undecided step, the edges still needed, the mask.
-    # Taking a step is pushed last so it is explored first.  Subset sums of
-    # {1..top} fill [0, top(top+1)/2], so every branch kept yields a member.
-    stack = [(n - 2, m - (n - 1), 1 << (n - 1))] if family.connected_only else [(n - 1, m, 0)]
-    while stack:
-        top, need, mask = stack.pop()
-        if need == 0:
-            yield mask
-        elif 0 < need <= top * (top + 1) // 2:
-            stack.append((top - 1, need, mask))
-            stack.append((top - 1, need - top, mask | 1 << top))
-
-
-def _creation(mask: int, n: int) -> tuple[str, ...]:
-    return tuple(DOMINATING if mask >> i & 1 else ISOLATED for i in range(n))
-
-
 def _rows(masks, n: int) -> np.ndarray:
     """The (len(masks), n) bool matrix of the low n bits of the given bitmasks (n < 64)."""
     return np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n) & 1 == 1
 
 
 def enumerate_threshold(family: FamilySpec):
-    """Yield every threshold graph of the family exactly once, canonically."""
-    if family.universe != THRESHOLD:
-        raise ValueError("enumerate_threshold needs a THRESHOLD family")
-    for mask in _dominating_masks(family):
-        yield ThresholdGraph(family.n, _creation(mask, family.n))
+    """Yield every threshold graph of the family exactly once, in walk order: descending creation mask."""
+    root, need, top, c, (size,) = _walk_root([family])
+    for lo in range(0, size, FAMILY_CHUNK):
+        rank = np.arange(lo, min(lo + FAMILY_CHUNK, size), dtype=np.int64)
+        rows = _unrank(root.repeat(len(rank), axis=0), need.repeat(len(rank)), rank, top, c)
+        for symbols in np.where(rows, DOMINATING, ISOLATED).tolist():
+            yield ThresholdGraph(family.n, tuple(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +154,6 @@ def _canonical_many(masks, n: int, chunk: int = 64) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _graph_classes(n: int):
     """Canonical bitmasks of all isomorphism classes, indexed by edge count, generated orderly (Read, 1978).
 
@@ -317,11 +294,40 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
 
 
 def _subset_counts(top: int, most: int) -> np.ndarray:
-    """c[t, s]: how many subsets of {1..t} sum to s (t <= top, s <= most); s in [-top, 0) reads the last, zero, columns."""
-    rows = [[1] + [0] * (most + top)]
+    """c[t, s]: how many subsets of {1..t} sum to s (t <= top, s <= most), capped at ``_COUNT_CAP``; s in [-top, 0) reads the last, zero, columns.
+
+    An entry below the cap is exact, since its two summands are; the walk reads
+    only counts of subtrees of its families, none above a family's size.
+    """
+    c = np.zeros((top + 1, most + 1 + top), dtype=np.int64)
+    c[:, 0] = 1
     for t in range(1, top + 1):
-        rows.append([rows[-1][s] + rows[-1][s - t] for s in range(most + 1)] + [0] * top)
-    return np.array(rows, dtype=np.int64)
+        c[t, 1 : most + 1] = c[t - 1, 1 : most + 1]
+        c[t, t : most + 1] += c[t - 1, : max(most + 1 - t, 0)]
+        np.minimum(c[t], _COUNT_CAP, out=c[t])
+    return c
+
+
+def _walk_root(families):
+    """The walk's start for THRESHOLD families of one order and connectivity: connected members end in D.
+
+    Returns the root rows, each family's need (the edges steps 1..top add),
+    the highest undecided step ``top``, the subset-sum counts and each
+    family's size; a family of ``_COUNT_CAP`` members or more is refused.
+    """
+    first = families[0]
+    if any(f.universe != THRESHOLD or (f.n, f.connected_only) != (first.n, first.connected_only) for f in families):
+        raise ValueError("the threshold walk needs THRESHOLD families of one order and connectivity")
+    n, linked = first.n, first.connected_only and first.n > 1
+    top = n - 2 if linked else n - 1
+    need = np.array([f.m - (n - 1) * linked for f in families], dtype=np.int64)
+    c = _subset_counts(top, int(need.max()))
+    size = c[top, need]
+    if size.max() >= _COUNT_CAP:
+        raise ValueError(f"family {families[int(size.argmax())]} has at least {_COUNT_CAP} members, too many to walk")
+    root = np.zeros((len(families), n), dtype=bool)
+    root[:, n - 1] = linked
+    return root, need, top, c, size
 
 
 def _children(rows, need, rank, fam, t: int, c: np.ndarray):
@@ -361,14 +367,9 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
     the maximizers nor ``tie_gap``.  The margin exceeds RHO_COMPARE_TOL and the
     gated radius error, and a block whose count error reaches it is not pruned.
     """
-    alpha, chunk, first = as_alpha(alpha), FAMILY_CHUNK, families[0]
-    if any(f.universe != THRESHOLD or (f.n, f.connected_only) != (first.n, first.connected_only) for f in families):
-        raise ValueError("threshold_argmax needs THRESHOLD families of one order and connectivity")
-    n, linked, count = first.n, first.connected_only and first.n > 1, len(families)
-    top = n - 2 if linked else n - 1  # connected members end in D
-    need = np.array([f.m - (n - 1) * linked for f in families], dtype=np.int64)
-    c = _subset_counts(top, int(need.max()))
-    size, reduction = c[top, need], _Reduction(count)
+    alpha, chunk, count = as_alpha(alpha), FAMILY_CHUNK, len(families)
+    root, need, top, c, size = _walk_root(families)
+    reduction = _Reduction(count)
 
     def solve(rows, fam):
         for lo in range(0, len(rows), chunk):
@@ -386,8 +387,6 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
                 keep[some] = (above > 0) | doubt
         return keep
 
-    root = np.zeros((count, n), dtype=bool)
-    root[:, n - 1] = linked
     ranks = [sorted({*range(min(_SEEDS, k)), *range(max(k - _SEEDS, 0), k)}) for k in size.tolist()]
     fam = np.repeat(np.arange(count), [len(r) for r in ranks])
     solve(_unrank(root[fam], need[fam], np.concatenate(ranks).astype(np.int64), top, c), fam)
@@ -539,7 +538,6 @@ def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
     return [report for scan in scans for row in zip(*scan) for report in row]
 
 
-@lru_cache(maxsize=16)  # for callers that ask m by m; the sweep driver reads each (n, alpha) once
 def _dominance_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
     """The dominance reports of order n, by m, from one dense solve and one threshold walk."""
     reports = _all_reports(n, alpha)

@@ -24,10 +24,10 @@ from quasistar.search import (
     ALL,
     FamilySpec,
     enumerate_all,
-    threshold_dominance_report,
     verify_all_graphs_2n2,
     verify_clique_band,
     verify_sparse_band,
+    verify_threshold_dominance,
 )
 from quasistar.spectra import alpha_matrix, char_poly, threshold_spectrum
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
@@ -238,11 +238,14 @@ def test_criterion_5_rewiring_property_suite():
 def test_criterion_6_threshold_dominance():
     start = time.perf_counter()
     checks = 0
-    for n in range(2, 8):
-        for m in range(n - 1, n * (n - 1) // 2 + 1):
-            for alpha in (Fraction(0), HALF, Fraction(3, 4)):
-                assert threshold_dominance_report(n, m, alpha).matches_theorem, (n, m, alpha)
-                checks += 1
+    alphas = (Fraction(0), HALF, Fraction(3, 4))
+    reports = verify_threshold_dominance(range(2, 8), alphas)
+    assert [(r.family.n, r.family.m, r.alpha) for r in reports] == [
+        (n, m, alpha) for n in range(2, 8) for m in range(n - 1, n * (n - 1) // 2 + 1) for alpha in alphas
+    ]
+    for report in reports:
+        assert report.matches_theorem, (report.family.n, report.family.m, report.alpha)
+        checks += 1
     elapsed = time.perf_counter() - start
     announce(6, True, f"{checks} (n, m, alpha) equivalence checks up to n=7, {elapsed:.1f}s")
 

@@ -155,6 +155,13 @@ def test_enumerate_infeasible(capsys):
     assert code == 2 and "infeasible" in err
 
 
+def test_enumerate_family_too_large_to_walk_is_usage_error(capsys):
+    # About 2^69 members: refused up front, not streamed without end.
+    code, out, err = run(capsys, "enumerate", "80", "1600", "--connected")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "too many to walk" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -189,6 +196,15 @@ def test_verify_band_smoke(capsys):
     assert len(lines) == 9
     exception_rows = [ln for ln in lines if ";" in ln.split("maximizers=")[1].split()[0]]
     assert len(exception_rows) == 1 and ",m=24," in exception_rows[0]
+
+
+def test_verify_band_at_order_80(capsys):
+    # Subset-sum counts of order 80 exceed int64; the band's two families have one member each.
+    code, out, err = run(capsys, "--format", "structured", "verify", "t42", "--r", "78", "--n", "80", "--alpha", "1/2")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["family=H,n=80,m=3158,alpha=1/2", "family=H,n=80,m=3159,alpha=1/2"]
+    assert all(line.endswith("tie_gap=inf ok=1") for line in lines)
 
 
 def test_verify_lemma24_exit_code(capsys):

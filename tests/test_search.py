@@ -61,6 +61,38 @@ def test_family_feasibility():
 # Threshold enumeration
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)  # callers go family by family through one order at a time
+def creation_masks(n: int, connected_only: bool):
+    """Brute force: every creation mask of order n, ascending, and its edge count.
+
+    Bit i is set when step i dominates, which adds i edges; step 0 never
+    dominates, and a connected graph's last step does.
+    """
+    low = 1 << n - 1 if connected_only and n > 1 else 0
+    masks = np.arange(low, 1 << n, 2, dtype=np.int64)
+    edges = np.zeros(len(masks), dtype=np.int64)
+    for i in range(1, n):
+        edges += (masks >> i & 1) * i
+    return masks, edges
+
+
+def mask_text(mask: int, n: int) -> str:
+    return "".join("D" if mask >> i & 1 else "I" for i in range(n))
+
+
+def reference_masks(family: FamilySpec) -> list[int]:
+    """Every member's creation mask, descending: the walk order."""
+    masks, edges = creation_masks(family.n, family.connected_only)
+    return masks[edges == family.m][::-1].tolist()
+
+
+def every_threshold_family(most_n: int):
+    for n in range(1, most_n + 1):
+        for connected_only in (True, False):
+            for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
+                yield FamilySpec(n, m, connected_only=connected_only)
+
+
 def test_enumerate_threshold_membership():
     found = {g.text for g in enumerate_threshold(FamilySpec(6, 10))}
     assert quasi_star(6, 10).text in found
@@ -227,8 +259,7 @@ def test_orderly_generation_canonicalises_few_masks(monkeypatch):
     seen = []
     canonical_many = search._canonical_many
     monkeypatch.setattr(search, "_canonical_many", lambda masks, n: seen.append(len(masks)) or canonical_many(masks, n))
-    classes = search._graph_classes.__wrapped__(7)  # uncached, so every form is counted
-    assert classes == search._graph_classes(7)
+    classes = search._graph_classes(7)
     assert sum(map(len, classes)) == KNOWN_CLASS_COUNTS[7]
     assert sum(seen) <= 2100  # the augment-and-dedup generator canonicalised 4,916 masks
 
@@ -255,8 +286,7 @@ def test_vectorised_connectivity_matches_components():
 def per_graph_argmax(family: FamilySpec, alpha):
     """Reference: the per-graph ``spectral_radius`` loop the batched ALL scan replaced."""
     near = []
-    for mask in search._graph_classes(family.n)[family.m]:
-        g = search._labeled_from_mask(mask, family.n)
+    for g in enumerate_all(FamilySpec(family.n, family.m, connected_only=False, universe=ALL)):
         if family.connected_only and not g.is_connected:
             continue
         near.append((edge_key(g), spectral_radius(g, alpha).rho))
@@ -355,7 +385,7 @@ def test_argmax_report_does_not_depend_on_chunk_size(monkeypatch, chunk):
 
 def one_call_reference(family, alpha):
     """Radii from one unpruned ``family_spectra`` call on every member, and their report triple."""
-    masks = list(search._dominating_masks(family))
+    masks = reference_masks(family)
     radii = family_spectra(search._rows(masks, family.n), alpha)[0]
     rho_max = float(radii.max())
     tie = same_radius(radii, rho_max)
@@ -363,7 +393,7 @@ def one_call_reference(family, alpha):
     return radii, (
         rho_max,
         rho_max - float(below.max()) if len(below) else float("inf"),
-        tuple(sorted("".join(search._creation(mask, family.n)) for mask in itertools.compress(masks, tie))),
+        tuple(sorted(mask_text(mask, family.n) for mask in itertools.compress(masks, tie))),
     )
 
 
@@ -441,7 +471,7 @@ def test_prune_level_is_below_every_best_non_maximizer(monkeypatch):
         for connected_only in (True, False):
             for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
                 family = FamilySpec(n, m, connected_only=connected_only)
-                size = sum(1 for _ in search._dominating_masks(family))
+                size = len(reference_masks(family))
                 for alpha in (Fraction(0), HALF, Fraction(99, 100)):
                     levels.clear()
                     report = argmax_rho(family, alpha)
@@ -482,26 +512,57 @@ def test_argmax_with_one_seed_per_end_matches_reference(monkeypatch, chunk):
         assert math.isfinite(report.tie_gap)
 
 
-def walk_start(n, connected_only):
-    """The walk's first undecided step and the columns fixed at its root."""
-    linked = connected_only and n > 1
-    return (n - 2 if linked else n - 1), linked
+def test_walk_ranks_unrank_to_the_walk_order(monkeypatch):
+    # Every family with n <= 10: the subset-sum counts size it, and
+    # enumeration unranks its members in descending creation mask, in blocks
+    # of one rank and of three (so across block edges).
+    families = members = 0
+    for family in every_threshold_family(10):
+        expected = [mask_text(mask, family.n) for mask in reference_masks(family)]
+        *_, size = search._walk_root([family])
+        assert size.tolist() == [len(expected)]
+        for chunk in (1, 3):
+            monkeypatch.setattr(search, "FAMILY_CHUNK", chunk)
+            graphs = list(enumerate_threshold(family))
+            assert [g.text for g in graphs] == expected, (family, chunk)
+        labeled = [to_labeled(g) for g in graphs]
+        assert all(g.m == family.m and (g.is_connected or not family.connected_only) for g in labeled), family
+        families, members = families + 1, members + len(expected)
+    assert families == 305 and members == 2**10 - 1 + 2**9  # the connected n = 1 member counts twice
 
 
-def test_walk_ranks_unrank_to_the_walk_order():
-    # The subset-sum counts rank every member as ``_dominating_masks`` yields it.
-    for n in range(1, 10):
-        for connected_only in (True, False):
-            top, linked = walk_start(n, connected_only)
-            for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
-                rows = search._rows(list(search._dominating_masks(FamilySpec(n, m, connected_only))), n)
-                need = m - (n - 1) * linked
-                counts = search._subset_counts(top, need)
-                assert counts[top, need] == len(rows)
-                root = np.zeros((len(rows), n), dtype=bool)
-                root[:, n - 1] = linked
-                unranked = search._unrank(root, np.full(len(rows), need), np.arange(len(rows)), top, counts)
-                assert np.array_equal(unranked, rows), (n, m, connected_only)
+def exact_subset_counts(top: int, most: int) -> list[list[int]]:
+    """The subset-sum table in Python ints, unbounded."""
+    rows = [[1] + [0] * most]
+    for t in range(1, top + 1):
+        rows.append([rows[-1][s] + (rows[-1][s - t] if s >= t else 0) for s in range(most + 1)])
+    return rows
+
+
+def test_subset_counts_saturate_at_the_cap():
+    # {1..75} has about 2^66 subsets summing to 1425, above the cap.
+    top, most = 75, 75 * 76 // 2
+    exact = exact_subset_counts(top, most)
+    capped = search._subset_counts(top, most)
+    assert capped.dtype == np.int64 and not capped[:, most + 1 :].any()
+    assert capped[:, : most + 1].tolist() == [[min(v, search._COUNT_CAP) for v in row] for row in exact]
+    assert max(map(max, exact)) > search._COUNT_CAP
+
+
+def test_large_order_family_with_one_member():
+    # n = 80 needs subset-sum counts beyond int64; K_80 less one edge is the only member.
+    family = FamilySpec(80, 3159)
+    assert [g.text for g in enumerate_threshold(family)] == ["II" + "D" * 78]
+    assert argmax_rho(family, HALF).maximizer_set == ("II" + "D" * 78,)
+
+
+def test_family_at_the_count_cap_is_refused():
+    # About 2^69 members: saturated ranks would be wrong, so neither walk starts.
+    family = FamilySpec(80, 1600)
+    with pytest.raises(ValueError, match="too many to walk"):
+        next(enumerate_threshold(family))
+    with pytest.raises(ValueError, match="too many to walk"):
+        argmax_rho(family, HALF)
 
 
 def dense_radii(dom, alpha):
@@ -522,8 +583,8 @@ def test_supergraph_bounds_every_completion():
         every = np.zeros((len(order), n), dtype=bool)
         every[:, 1:] = order[:, None] >> np.arange(n - 1) & 1
         for connected_only in (True, False):
-            top, linked = walk_start(n, connected_only)
-            dom = every[every[:, n - 1]] if linked else every
+            root, _, top, _, _ = search._walk_root([FamilySpec(n, n * (n - 1) // 2, connected_only)])
+            dom = every[every[:, n - 1]] if root[0, n - 1] else every
             for alpha in (Fraction(0), HALF, Fraction(99, 100)):
                 rho = dense_radii(dom, alpha)
                 for t in range(1, top + 1):
@@ -631,7 +692,7 @@ def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message)
 
 
 def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
-    # More alphas than the per-order cache holds must not re-scan every order.
+    # A sweep solves each order once per alpha, however many alphas it has.
     calls = {"threshold_argmax": 0, "dense_spectra": 0}
 
     def counted(name):
@@ -643,10 +704,8 @@ def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(search, name, counted(name))
-    search._dominance_reports.cache_clear()
     alphas = [Fraction(k, 17) for k in range(17)]
     reports = verify_threshold_dominance([7], alphas)
-    search._dominance_reports.cache_clear()
     assert calls == {"threshold_argmax": 17, "dense_spectra": 17}
     assert [(r.family.m, r.alpha) for r in reports] == [(m, a) for m in range(6, 22) for a in alphas]
     assert all(r.matches_theorem for r in reports)
