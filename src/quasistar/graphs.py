@@ -26,7 +26,7 @@ number of vertices left is dominating in every realization, and a vertex of
 degree 0 is isolated in every one.  So a labeled graph is threshold exactly
 when its sorted degrees peel, and the peel is its creation sequence.
 ``from_degree_sequence`` is that peel, one O(n) pass from both ends of the
-sorted list; ``threshold_from_labeled`` and ``is_threshold`` go through it.
+sorted list; ``threshold_from_labeled``, ``is_threshold`` and ``is_threshold_degrees`` go through it.
 
 Families provided here, for n vertices and m edges:
 
@@ -274,8 +274,13 @@ def is_threshold(g: LabeledGraph) -> bool:
     Tested by peeling the sorted degrees: threshold sequences are unigraphic,
     so any graph whose degrees peel is the threshold graph they describe.
     """
+    return is_threshold_degrees(g.degrees())
+
+
+def is_threshold_degrees(degrees) -> bool:
+    """True iff the graphs with these vertex degrees, in any order, are threshold: the sorted degrees peel."""
     try:
-        threshold_from_labeled(g)
+        from_degree_sequence(sorted(degrees, reverse=True))
     except NotThresholdError:
         return False
     return True

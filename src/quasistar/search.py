@@ -17,18 +17,19 @@ General graphs are enumerated once per order (n <= 7) up to isomorphism by
 orderly generation from K_n down to half the possible edges, and below that
 as complements; the canonical form of an edge-subset bitmask is its minimum
 over all vertex permutations, one float32 product of its edge bits with a
-precomputed permutation/weight table.  Reachability by repeated boolean
-squaring marks each order's connected classes, which ``dense_spectra``
-solves in one call per (n, alpha) for every ``ALL`` family of the order;
-disconnected classes (only when ``connected_only`` is off) go through
-``spectral_radius``.
+precomputed permutation/weight table, after a test against the transpositions
+alone.  Repeated boolean squaring marks each order's connected classes.  Per
+(n, alpha) one ``dense_spectra`` call solves each ``ALL`` family's seeds, its
+classes of largest Rayleigh quotient at the degree vector, and one more the
+classes that ``definite_above`` does not prove below the family's x;
+disconnected ones (only without ``connected_only``) go through ``spectral_radius``.
 
 One reduction per scan keeps each family's maximizers, tie gap, near-tie
-warning and best non-maximizer, whose radius less 1e-6 is the walk's x.  The
+warning and best non-maximizer, whose radius less 1e-6 is the scan's x.  The
 ``verify_*`` drivers make one walk per (n, alpha) and compare the found
 maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
 alpha = 1/2 where it exists); ``verify_threshold_dominance`` compares one
-dense solve with one threshold walk per (n, alpha).  The ``audit`` helper
+``ALL`` scan with one threshold walk per (n, alpha).  The ``audit`` helper
 extracts the staircase statistics kappa, delta_j, s, theta used in the
 structural analysis of extremal hosts.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .graphs import (
     ISOLATED,
     LabeledGraph,
     ThresholdGraph,
-    is_threshold,
+    is_threshold_degrees,
     quasi_star,
     tilde_s,
 )
@@ -58,6 +59,7 @@ from .spectra import (
     alpha_matrices,
     as_alpha,
     count_above,
+    definite_above,
     dense_spectra,
     family_spectra,
     same_radius,
@@ -126,14 +128,17 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _perm_weights(n: int) -> np.ndarray:
-    """Row per vertex permutation: weight 2^(image slot) per edge slot.
+    """Row per vertex permutation: weight 2^(image slot) per edge slot; row 0 is the identity, rows 1..n(n-1)/2 the transpositions.
 
     A graph bitmask b maps under permutation row w to sum(w[e] for e in b).
     Every image is below 2^21 (n <= 7), inside float32's 24-bit significand,
     so the float32 table and its products are exact.
     """
     ends = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2) - 1
-    perms = np.array(list(permutations(range(n))), dtype=np.int8)
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):  # insert vertex k at each position of every permutation of 0..k-1
+        perms = np.concatenate([np.insert(perms, at, k, axis=1) for at in range(k + 1)])
+    perms = perms[np.argsort((perms != np.arange(n)).sum(axis=1), kind="stable")]  # by points moved: 0, 2, then more
     x, y = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
     lo, hi = np.minimum(x, y).astype(np.int16), np.maximum(x, y).astype(np.int16)
     # Pair (lo, hi), 0-based, is slot lo*(2n-1-lo)/2 + hi-lo-1 of combinations order.
@@ -144,13 +149,13 @@ def _perm_weights(n: int) -> np.ndarray:
 def _canonical_many(masks, n: int, chunk: int = 64) -> list[int]:
     """Canonical form (minimum relabeling) of each bitmask in masks.
 
-    Chunks of 64 keep the (n! x chunk) float32 product at 1.3 MB for n = 7; it sets a lemma24 run's peak RSS.
+    Chunks of 64 keep the (chunk x n!) float32 product at 1.3 MB for n = 7; it sets a lemma24 run's peak RSS.
     """
     weights = _perm_weights(n)
-    cols = _rows(masks, weights.shape[1]).T.astype(np.float32)
+    rows = _rows(masks, weights.shape[1]).astype(np.float32)
     out = []
     for lo in range(0, len(masks), chunk):
-        out.extend((weights @ cols[:, lo : lo + chunk]).min(axis=0).astype(np.int64).tolist())
+        out.extend((rows[lo : lo + chunk] @ weights.T).min(axis=1).astype(np.int64).tolist())
     return out
 
 
@@ -163,10 +168,12 @@ def _graph_classes(n: int):
     FamilySpec(n, 0, connected_only=False, universe=ALL)  # raises unless 1 <= n <= MAX_EXHAUSTIVE_N
     top = n * (n - 1) // 2
     bits, full = 1 << np.arange(top, dtype=np.int64), (1 << top) - 1
+    swaps = _perm_weights(n)[1 : top + 1].T
     down = [(full,)]  # down[j]: the classes with top - j edges
     for _ in range(top // 2):
         parents = np.array(down[-1], dtype=np.int64)[:, None]
         kids = (parents ^ bits)[bits < (~parents & parents + 1)]  # drop an edge below the lowest vacancy
+        kids = kids[(_rows(kids, top).astype(np.float32) @ swaps >= kids[:, None]).all(axis=1)]  # no transposition lowers it
         down.append(tuple(sorted(kids[kids == _canonical_many(kids, n)].tolist())))
     # Complementing maps the classes with m edges one to one onto those with
     # top - m, so the lower half costs a canonical form per class.
@@ -208,12 +215,6 @@ def _labeled_from_mask(mask: int, n: int) -> LabeledGraph:
 def edge_key(g: LabeledGraph) -> str:
     """Compact edge-list key like '12.13.23' (single-digit labels, n <= 9)."""
     return ".".join(f"{u}{v}" for u, v in sorted(g.edges)) or "-"
-
-
-def _from_edge_key(key: str, n: int) -> LabeledGraph:
-    """Inverse of ``edge_key``."""
-    tokens = key.split(".") if key != "-" else ()
-    return LabeledGraph.from_edges(n, ((int(t[0]), int(t[1])) for t in tokens))
 
 
 def enumerate_all(family: FamilySpec):
@@ -415,15 +416,30 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
 
 
 def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[int, VerificationReport]:
-    """Reports of the ALL families of order n, by m: one dense solve of the order's connected classes."""
+    """Reports of the ALL families of order n, by m: disconnected classes by ``spectral_radius``, connected ones pruned.
+
+    Each family's ``_SEEDS`` connected classes of largest Rayleigh quotient at
+    the degree vector, a lower bound on rho, are solved first; x is then set
+    as in ``threshold_argmax``, and one more ``dense_spectra`` call solves the
+    classes whose x I - M_alpha ``definite_above`` does not prove definite.
+    """
     masks, connected, starts = _order_classes(n)
-    keep, radii = connected | (not connected_only), np.empty(len(masks))
-    radii[connected] = dense_spectra(alpha_matrices(_adjacency(masks[connected], n), alpha))[0]
-    for i in (keep & ~connected).nonzero()[0]:
-        radii[i] = spectral_radius(_labeled_from_mask(int(masks[i]), n), alpha).rho
     ms = range((n - 1) * connected_only, len(starts) - 1)
     reduction, fam = _Reduction(len(ms)), np.repeat(np.arange(len(starts) - 1) - ms.start, np.diff(starts))
-    reduction.add(masks[keep], radii[keep], fam[keep])  # a family index is m - ms.start
+    loose = np.flatnonzero(~connected & (not connected_only))
+    radii = [spectral_radius(_labeled_from_mask(int(masks[i]), n), alpha).rho for i in loose.tolist()]
+    reduction.add(masks[loose], np.array(radii), fam[loose])  # a family index is m - ms.start
+    linked = np.flatnonzero(connected)
+    adj, home = _adjacency(masks[linked], n), fam[linked]  # home ascends: classes come by edge count
+    mats, deg = alpha_matrices(adj, alpha), adj.sum(axis=2)
+    lower = np.einsum("bi,bij,bj->b", deg, mats, deg) / np.maximum(np.einsum("bi,bi->b", deg, deg), 1)
+    order = np.lexsort((-lower, home))  # by family, then by descending lower bound
+    seed = np.zeros(len(linked), dtype=bool)
+    seed[order[np.arange(len(order)) - np.searchsorted(home, home) < _SEEDS]] = True
+    reduction.add(masks[linked[seed]], dense_spectra(mats[seed])[0], home[seed])
+    sure, error = definite_above(mats, reduction.below[home] - _PRUNE_MARGIN)
+    rest = ~seed & ~(sure & (RHO_COMPARE_TOL + error < _PRUNE_MARGIN))
+    reduction.add(masks[linked[rest]], dense_spectra(mats[rest])[0], home[rest])
     families = [FamilySpec(n, m, connected_only, ALL) for m in ms]
     return dict(zip(ms, reduction.reports(families, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), n)))))
 
@@ -539,12 +555,12 @@ def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
 
 
 def _dominance_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
-    """The dominance reports of order n, by m, from one dense solve and one threshold walk."""
+    """The dominance reports of order n, by m, from one ALL scan and one threshold walk; a key's label counts are its degrees."""
     reports = _all_reports(n, alpha)
     thresholds = threshold_argmax([FamilySpec(n, m) for m in reports], alpha)
     return tuple(
         replace(report, matches_theorem=same_radius(report.rho_max, threshold.rho_max)
-                and all(is_threshold(_from_edge_key(key, n)) for key in report.maximizer_set))
+                and all(is_threshold_degrees(map(key.count, "123456789"[:n])) for key in report.maximizer_set))
         for report, threshold in zip(reports.values(), thresholds)
     )
 

@@ -15,7 +15,9 @@ General graphs go through ``dense_spectra``: ``alpha_matrices`` assembles
 M_alpha for a (B, k, k) stack of adjacency matrices, and the kernel solves
 the stack.  ``alpha_matrix`` and ``spectral_radius`` are its one-graph
 callers; the latter solves each connected component as a stack of one and
-keeps the largest radius.  Threshold graphs have one kernel,
+keeps the largest radius.  ``definite_above`` spares a scan the matrices
+whose x I - M_alpha has only positive Cholesky pivots, which proves rho
+below x + 64 k^2 eps (|x| + k).  Threshold graphs have one kernel,
 ``family_spectra``, on their run quotients: maximal runs of equal creation
 symbols (the first vertex joins the second's run; a trailing ``I`` run is
 split off as isolated vertices) are twin classes, hence an equitable
@@ -152,15 +154,15 @@ def dense_spectra(mats: np.ndarray):
 
     Returns radii and residuals of shape (B,) and unit vectors of shape
     (B, k) with nonnegative sums; raises NonConvergenceError if any row fails
-    its certificate.  One stacked ``eigh`` solves each matrix exactly as a
-    lone call would, so each radius is bit for bit the one-matrix radius.
+    its certificate (an empty stack passes).  One stacked ``eigh`` solves each
+    matrix exactly as a lone call would, so each radius is bit for bit the one-matrix radius.
     """
     vals, vecs = np.linalg.eigh(mats)
     rho = vals[:, -1]
     top = vecs[:, :, -1]
     top = np.where(top.sum(axis=1, keepdims=True) >= 0.0, top, -top)
     residual = np.abs((mats @ top[:, :, None])[:, :, 0] - rho[:, None] * top).max(axis=1)
-    _gate(float(residual.max()), float(top.min()))
+    _gate(float(residual.max(initial=0.0)), float(top.min(initial=0.0)))
     return rho, top, residual
 
 
@@ -322,6 +324,23 @@ def count_above(dom: np.ndarray, alpha: Fraction, x):
     scale = max(diag.max(), -diag.min(), off.max(initial=0.0), -off.min(initial=0.0)) + np.abs(x).max() + 1.0
     error = 64 * n * n * np.finfo(float).eps * scale
     return np.count_nonzero(pivots > 0, axis=0), (~np.isfinite(pivots) | (pivots == 0)).any(axis=0), error
+
+
+def definite_above(mats: np.ndarray, x: np.ndarray):
+    """Per matrix M of a (B, k, k) symmetric stack: whether every Cholesky pivot of x I - M is positive (x of shape (B,)).
+
+    Cholesky is backward stable: if it completes, R^T R = x I - M + E with ||E||_2 <= gamma_{k+1} tr(R^T R), and
+    tr(x I - M) <= k |x|; so a row with every pivot positive has rho(M) below x + ``error``, 64 k^2 eps (|x| + k)
+    per row, forming x I - M included.
+    """
+    k = mats.shape[-1]
+    a, diag, sure = np.moveaxis(-mats, 0, -1).copy(), np.arange(k), np.ones(len(mats), dtype=bool)  # (k, k, B)
+    a[diag, diag] += x
+    for j in range(k):
+        sure &= a[j, j] > 0
+        r = a[j, j + 1 :] / np.sqrt(np.where(sure, a[j, j], 1.0))
+        a[j + 1 :, j + 1 :] -= r[:, None] * r[None, :]
+    return sure, 64 * k * k * np.finfo(float).eps * (np.abs(x) + k)
 
 
 def char_poly(matrix) -> list[Fraction]:

@@ -45,3 +45,17 @@ def test_caller_thread_count_wins(var):
     expected = dict.fromkeys(BLAS_THREAD_VARS)
     expected[var] = "2"
     assert child_blas_vars(**{var: "2"}) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma24", "--n", "4..7", "--alpha", "0,1/2,3/4"],
+    ["verify", "t42", "--r", "3", "--n", "20", "--alpha", "1/2"],
+])
+def test_verify_runs_leave_numpy_ma_unimported(argv):
+    # numpy.ma costs 17-33 ms to import cold; np.unique and np.setdiff1d pull it in.
+    code = (
+        "import contextlib, io, sys\nfrom quasistar import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    cli.main({argv!r})\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert import_in_child(code) == "False\n"

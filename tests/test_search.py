@@ -35,7 +35,14 @@ from quasistar.search import (
     verify_sparse_band,
     verify_threshold_dominance,
 )
-from quasistar.spectra import RHO_COMPARE_TOL, alpha_matrices, family_spectra, same_radius, spectral_radius
+from quasistar.spectra import (
+    RHO_COMPARE_TOL,
+    alpha_matrices,
+    dense_spectra,
+    family_spectra,
+    same_radius,
+    spectral_radius,
+)
 
 HALF = Fraction(1, 2)
 
@@ -261,7 +268,25 @@ def test_orderly_generation_canonicalises_few_masks(monkeypatch):
     monkeypatch.setattr(search, "_canonical_many", lambda masks, n: seen.append(len(masks)) or canonical_many(masks, n))
     classes = search._graph_classes(7)
     assert sum(map(len, classes)) == KNOWN_CLASS_COUNTS[7]
-    assert sum(seen) <= 2100  # the augment-and-dedup generator canonicalised 4,916 masks
+    # The augment-and-dedup generator canonicalised 4,916 masks, and the
+    # orderly one 1,962 before kids met the transpositions first.
+    assert sum(seen) <= 1300
+
+
+def test_transposition_pretest_keeps_every_class():
+    # Rows 1..n(n-1)/2 of the permutation table are the transpositions, and no
+    # class has a lower image under one, so the pre-test rejects no canonical kid.
+    for n in range(1, 8):
+        top = n * (n - 1) // 2
+        _, weights = relabel_weights(n)
+        moved = [sum(p[v] != v for v in range(n)) for p in itertools.permutations(range(n))]
+        table = search._perm_weights(n)
+        assert table[0].tolist() == [2.0**e for e in range(top)]
+        assert sorted(map(tuple, table[1 : top + 1].tolist())) == sorted(
+            tuple(row) for row, k in zip(weights.tolist(), moved) if k == 2
+        )
+        masks = np.array([mask for level in search._graph_classes(n) for mask in level])
+        assert np.all(search._rows(masks, top) @ table[1 : top + 1].T >= masks[:, None]), n
 
 
 def test_vectorised_connectivity_matches_components():
@@ -281,6 +306,12 @@ def test_vectorised_connectivity_matches_components():
             for u, v in g.edges:
                 adj[b, u - 1, v - 1] = adj[b, v - 1, u - 1] = True
         assert search._connected(adj).tolist() == [g.is_connected for g in graphs]
+
+
+def from_edge_key(key: str, n: int) -> LabeledGraph:
+    """Inverse of ``edge_key``."""
+    tokens = key.split(".") if key != "-" else ()
+    return LabeledGraph.from_edges(n, ((int(t[0]), int(t[1])) for t in tokens))
 
 
 def per_graph_argmax(family: FamilySpec, alpha):
@@ -308,10 +339,65 @@ def test_batched_all_scan_matches_per_graph_solve(alpha, connected_only):
             report = argmax_rho(family, alpha)
             assert (report.rho_max, report.tie_gap, report.maximizer_set) == per_graph_argmax(family, alpha)
             disconnected_maximizers += sum(
-                not search._from_edge_key(key, n).is_connected for key in report.maximizer_set
+                not from_edge_key(key, n).is_connected for key in report.maximizer_set
             )
     # Without connected_only the fallback path decides families such as K_5 u K_1.
     assert (disconnected_maximizers > 0) == (not connected_only)
+
+
+def one_solve_all_reference(n: int, alpha):
+    """Report triples of every ALL family of order n, by (m, connected_only), from every class solved.
+
+    The connected classes are solved in one ``dense_spectra`` call and the
+    others by ``spectral_radius``, with nothing pruned.
+    """
+    masks, connected, starts = search._order_classes(n)
+    graphs = [search._labeled_from_mask(mask, n) for mask in masks.tolist()]
+    radii = np.empty(len(masks))
+    radii[connected] = dense_spectra(alpha_matrices(search._adjacency(masks[connected], n), alpha))[0]
+    for i in np.flatnonzero(~connected):
+        radii[i] = spectral_radius(graphs[i], alpha).rho
+    out = {}
+    for connected_only in (True, False):
+        for m in range(n - 1 if connected_only else 0, n * (n - 1) // 2 + 1):
+            members = [i for i in range(starts[m], starts[m + 1]) if connected[i] or not connected_only]
+            rho_max = float(radii[members].max())
+            tie = same_radius(radii[members], rho_max)
+            below = radii[members][~tie]
+            out[m, connected_only] = (
+                rho_max,
+                rho_max - float(below.max()) if len(below) else float("inf"),
+                tuple(sorted(edge_key(graphs[i]) for i in itertools.compress(members, tie))),
+            )
+    return out
+
+
+@pytest.mark.parametrize("seeds", [2, search._SEEDS])
+def test_pruned_all_scan_matches_one_solve_reference(monkeypatch, seeds):
+    # Two seeds per family set x from the second, often below the best
+    # non-maximizer, which must then survive the pivot test.
+    # Every x lies ``_PRUNE_MARGIN`` below its family's final best non-maximizer, or lower.
+    monkeypatch.setattr(search, "_SEEDS", seeds)
+    levels = []
+
+    def recorded(mats, x, _test=search.definite_above):
+        levels.append(x)
+        return _test(mats, x)
+
+    monkeypatch.setattr(search, "definite_above", recorded)
+    alphas = [Fraction(0), Fraction(1, 100), Fraction(1, 4), HALF, Fraction(3, 5),
+              Fraction(3, 4), Fraction(9, 10), Fraction(99, 100), Fraction(999, 1000)]
+    for n in range(1, 8):
+        _, connected, starts = search._order_classes(n)
+        size = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[connected]
+        for alpha in alphas:
+            scans = {}
+            for connected_only in (True, False):
+                for m, report in search._all_reports(n, alpha, connected_only).items():
+                    scans[m, connected_only] = (report.rho_max, report.tie_gap, report.maximizer_set)
+                    bound = report.rho_max - report.tie_gap - search._PRUNE_MARGIN
+                    assert np.all(levels[-1][size == m] <= np.nextafter(bound, math.inf)), (n, alpha, m)
+            assert scans == one_solve_all_reference(n, alpha), (n, alpha)
 
 
 def test_threshold_classes_inside_all_match_threshold_enumeration():
@@ -692,24 +778,27 @@ def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message)
 
 
 def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
-    # A sweep solves each order once per alpha, however many alphas it has.
-    calls = {"threshold_argmax": 0, "dense_spectra": 0}
+    # A sweep solves each order once per alpha, however many alphas it has:
+    # one threshold walk, one dense call for the seeds and one for the classes left.
+    walks = []
 
-    def counted(name):
-        real = getattr(search, name)
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def counted(*args, _walk=search.threshold_argmax):
+        walks.append(args)
+        return _walk(*args)
 
-    for name in calls:
-        monkeypatch.setattr(search, name, counted(name))
+    monkeypatch.setattr(search, "threshold_argmax", counted)
+    rows = counted_rows(monkeypatch, "dense_spectra")
     alphas = [Fraction(k, 17) for k in range(17)]
     reports = verify_threshold_dominance([7], alphas)
-    assert calls == {"threshold_argmax": 17, "dense_spectra": 17}
+    assert len(walks) == 17 and len(rows) == 2 * 17
     assert [(r.family.m, r.alpha) for r in reports] == [(m, a) for m in range(6, 22) for a in alphas]
     assert all(r.matches_theorem for r in reports)
     assert reports[(9 - 6) * 17 + 5] == threshold_dominance_report(7, 9, alphas[5])
+    # The pivot test leaves at most 15% of the 853 connected classes of order 7 to the dense solver.
+    for alpha in (Fraction(0), HALF, Fraction(3, 4)):
+        rows.clear()
+        verify_threshold_dominance([7], [alpha])
+        assert sum(rows) <= 0.15 * 853, alpha
 
 
 # ---------------------------------------------------------------------------

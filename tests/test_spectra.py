@@ -14,6 +14,7 @@ from quasistar.graphs import (
     to_labeled,
 )
 from quasistar import spectra
+from quasistar import search
 from quasistar.search import ALL, FamilySpec, argmax_rho
 from quasistar.transforms import candidate_specs, certify, validate
 from quasistar.spectra import (
@@ -24,6 +25,7 @@ from quasistar.spectra import (
     as_alpha,
     char_poly,
     count_above,
+    definite_above,
     family_spectra,
     spectral_radius,
     threshold_spectrum,
@@ -338,6 +340,21 @@ def test_inertia_count_matches_eigvalsh():
             low, high = (evs > at + 1e-9).sum(axis=1), (evs > at - 1e-9).sum(axis=1)
             assert np.all(unsure | ((low <= above) & (above <= high)))
             assert count_above(dom, alpha, np.nan)[1].all()  # a non-finite pivot is unsure too
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(999, 1000)])
+def test_pivot_test_matches_eigvalsh(alpha):
+    # Every connected class with n <= 7, probed at its top eigenvalue less and
+    # plus the returned error: no row is certified below, every row above.
+    for n in range(1, 8):
+        masks, connected, _ = search._order_classes(n)
+        mats = alpha_matrices(search._adjacency(masks[connected], n), alpha)
+        top = np.linalg.eigvalsh(mats)[:, -1]
+        _, error = definite_above(mats, top)
+        assert error.max() < 1e-10
+        assert not definite_above(mats, top - error)[0].any(), n
+        assert definite_above(mats, top + error)[0].all(), n
+        assert not definite_above(mats, np.full(len(mats), -np.inf))[0].any()
 
 
 def assert_served_spectrum_is_batch_row(graphs, alpha):
