@@ -55,7 +55,6 @@ from .spectra import (
     Spectrum,
     alpha_matrix,
     as_alpha,
-    char_poly,
     spectral_radius,
     threshold_spectrum,
 )

@@ -28,10 +28,10 @@ One reduction per scan keeps each family's maximizers, tie gap, near-tie
 warning and best non-maximizer, whose radius less 1e-6 is the scan's x.  The
 ``verify_*`` drivers make one walk per (n, alpha) and compare the found
 maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
-alpha = 1/2 where it exists); ``verify_threshold_dominance`` compares one
-``ALL`` scan with one threshold walk per (n, alpha).  The ``audit`` helper
-extracts the staircase statistics kappa, delta_j, s, theta used in the
-structural analysis of extremal hosts.
+alpha = 1/2 where it exists); ``verify_threshold_dominance`` reads Lemma 2.4
+from one ``ALL`` scan per (n, alpha): every maximizer is threshold.  The
+``audit`` helper extracts the staircase statistics kappa, delta_j, s, theta
+used in the structural analysis of extremal hosts.
 """
 
 from __future__ import annotations
@@ -209,7 +209,8 @@ def _connected(adj: np.ndarray) -> np.ndarray:
 
 
 def _labeled_from_mask(mask: int, n: int) -> LabeledGraph:
-    return LabeledGraph.from_edges(n, (pair for ei, pair in enumerate(_pairs(n)) if mask >> ei & 1))
+    """The graph of an edge bitmask; ``_pairs`` are in range and u < v, so they need no check."""
+    return LabeledGraph(n, frozenset(pair for ei, pair in enumerate(_pairs(n)) if mask >> ei & 1))
 
 
 def edge_key(g: LabeledGraph) -> str:
@@ -284,6 +285,16 @@ class _Reduction:
                 raise ValueError(f"family {family} is empty")
             near = (f"near-tie: best non-maximizer within {gap:.3e} of the maximum",) if gap < NEAR_TIE_WARNING else ()
             yield VerificationReport(family, alpha, tuple(sorted(map(key, self.tied[self.fam == f]))), top, gap, None, near)
+
+    def proved_below(self, fam: np.ndarray, prove) -> np.ndarray:
+        """Rows that ``prove(x)`` shows below their family's x = ``below`` - ``_PRUNE_MARGIN``: the one prune rule.
+
+        ``prove`` returns (sure, error): sure rows have rho below x + error; a proof counts only when
+        RHO_COMPARE_TOL + error < ``_PRUNE_MARGIN``.  ``below`` only rises (``top`` does, and a member leaving
+        the tie is a non-maximizer), so a proved row changes neither the maximizers nor ``tie_gap``.
+        """
+        sure, error = prove(self.below[fam] - _PRUNE_MARGIN)
+        return sure & (RHO_COMPARE_TOL + error < _PRUNE_MARGIN)
 
 
 def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
@@ -362,11 +373,7 @@ def _unrank(rows, need, rank, top: int, c: np.ndarray) -> np.ndarray:
 def threshold_argmax(families, alpha) -> list[VerificationReport]:
     """Reports of THRESHOLD families of one order and connectivity, from one bounded walk and one ``_Reduction``.
 
-    A family's x is its best non-maximizer radius, the reduction's ``below``,
-    less ``_PRUNE_MARGIN``; ``below`` only rises (``top`` does, and a member
-    leaving the tie is a non-maximizer), so a member below x changes neither
-    the maximizers nor ``tie_gap``.  The margin exceeds RHO_COMPARE_TOL and the
-    gated radius error, and a block whose count error reaches it is not pruned.
+    A node goes when ``count_above`` proves its supergraph below its family's x (``_Reduction.proved_below``).
     """
     alpha, chunk, count = as_alpha(alpha), FAMILY_CHUNK, len(families)
     root, need, top, c, size = _walk_root(families)
@@ -377,15 +384,17 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
             some = rows[lo : lo + chunk]
             reduction.add(some, family_spectra(some, alpha)[0], fam[lo : lo + chunk])
 
+    def pivots(sup, x):
+        above, doubt, error = count_above(sup, alpha, x[:, None])
+        return (above == 0) & ~doubt, error
+
     def unsure(sup, fam):
         """Rows whose count at their family's x does not prove them below it."""
-        keep, x = np.ones(len(fam), dtype=bool), reduction.below[fam] - _PRUNE_MARGIN
-        tested = np.isfinite(x).nonzero()[0]
+        keep = np.ones(len(fam), dtype=bool)
+        tested = np.isfinite(reduction.below[fam]).nonzero()[0]
         for lo in range(0, len(tested), chunk):
             some = tested[lo : lo + chunk]
-            above, doubt, error = count_above(sup[some], alpha, x[some, None])
-            if RHO_COMPARE_TOL + error < _PRUNE_MARGIN:
-                keep[some] = (above > 0) | doubt
+            keep[some] = ~reduction.proved_below(fam[some], lambda x: pivots(sup[some], x))
         return keep
 
     ranks = [sorted({*range(min(_SEEDS, k)), *range(max(k - _SEEDS, 0), k)}) for k in size.tolist()]
@@ -419,9 +428,9 @@ def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[i
     """Reports of the ALL families of order n, by m: disconnected classes by ``spectral_radius``, connected ones pruned.
 
     Each family's ``_SEEDS`` connected classes of largest Rayleigh quotient at
-    the degree vector, a lower bound on rho, are solved first; x is then set
-    as in ``threshold_argmax``, and one more ``dense_spectra`` call solves the
-    classes whose x I - M_alpha ``definite_above`` does not prove definite.
+    the degree vector, a lower bound on rho, are solved first; one more
+    ``dense_spectra`` call solves the classes that ``definite_above`` does not
+    prove below their family's x (``_Reduction.proved_below``).
     """
     masks, connected, starts = _order_classes(n)
     ms = range((n - 1) * connected_only, len(starts) - 1)
@@ -437,8 +446,7 @@ def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[i
     seed = np.zeros(len(linked), dtype=bool)
     seed[order[np.arange(len(order)) - np.searchsorted(home, home) < _SEEDS]] = True
     reduction.add(masks[linked[seed]], dense_spectra(mats[seed])[0], home[seed])
-    sure, error = definite_above(mats, reduction.below[home] - _PRUNE_MARGIN)
-    rest = ~seed & ~(sure & (RHO_COMPARE_TOL + error < _PRUNE_MARGIN))
+    rest = ~seed & ~reduction.proved_below(home, lambda x: definite_above(mats, x))
     reduction.add(masks[linked[rest]], dense_spectra(mats[rest])[0], home[rest])
     families = [FamilySpec(n, m, connected_only, ALL) for m in ms]
     return dict(zip(ms, reduction.reports(families, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), n)))))
@@ -507,10 +515,7 @@ def verify_all_graphs_2n2(n_values) -> list[VerificationReport]:
         m = 2 * n - 2
         family = FamilySpec(n, m, connected_only=False, universe=THRESHOLD)
         report = argmax_rho(family, HALF)
-        if n == 6:
-            expected = {"IDDDDI"}  # K_5 u K_1
-        else:
-            expected = {quasi_star(n, m).text}
+        expected = {"IDDDDI"} if n == 6 else {quasi_star(n, m).text}  # K_5 u K_1 at n = 6
         reports.append(_with_match(report, expected))
     return reports
 
@@ -539,29 +544,31 @@ def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
 
 
 def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
-    """Compare the ALL-connected maximum against the threshold-only maximum.
+    """The ALL-connected scan of (n, m); ``matches_theorem`` is True when every maximizer is a threshold graph.
 
-    ``matches_theorem`` is True when the two maxima are ``same_radius`` and
-    every maximizer over all connected graphs is a threshold graph.
+    That also makes the threshold-only maximum the ALL maximum (``_dominance_reports``).
     """
     FamilySpec(n, m, universe=ALL)  # raises unless n - 1 <= m <= n(n-1)/2 and n <= 7
     return _dominance_reports(n, as_alpha(alpha))[m - (n - 1)]
 
 
 def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
-    """``threshold_dominance_report`` for every connected (n, m), ordered by n, m then alpha: one scan per (n, alpha)."""
+    """``threshold_dominance_report`` for every connected (n, m), ordered by n, m then alpha: one ALL scan per (n, alpha), no walk."""
     scans = ([_dominance_reports(n, as_alpha(alpha)) for alpha in alphas] for n in n_values)
     return [report for scan in scans for row in zip(*scan) for report in row]
 
 
 def _dominance_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
-    """The dominance reports of order n, by m, from one ALL scan and one threshold walk; a key's label counts are its degrees."""
-    reports = _all_reports(n, alpha)
-    thresholds = threshold_argmax([FamilySpec(n, m) for m in reports], alpha)
+    """The dominance reports of order n, by m, from one ALL scan: every maximizer threshold; a key's label counts are its degrees.
+
+    That alone decides Lemma 2.4: connected threshold graphs are members of the ALL family, so a threshold ALL
+    maximizer is also the threshold maximum.  A threshold walk's maximum could differ from the ALL scan's only by
+    the kernels' certified residuals, each radius within sqrt(n) * 1e-11 of the true one, far inside the tie window.
+    """
     return tuple(
-        replace(report, matches_theorem=same_radius(report.rho_max, threshold.rho_max)
-                and all(is_threshold_degrees(map(key.count, "123456789"[:n])) for key in report.maximizer_set))
-        for report, threshold in zip(reports.values(), thresholds)
+        replace(report, matches_theorem=all(is_threshold_degrees(map(key.count, "123456789"[:n]))
+                                            for key in report.maximizer_set))
+        for report in _all_reports(n, alpha).values()
     )
 
 
@@ -601,28 +608,15 @@ def audit(g: ThresholdGraph, r: int) -> ExtremalAudit:
     degrees = g.degree_sequence()  # non-increasing, as in stepwise order
 
     complete = g.m == n * (n - 1) // 2
-    kappa = 0
-    for j in range(1, n):
-        if rows[j + 1] >> j & 1:
-            kappa = j
+    kappa = max((j for j in range(1, n) if rows[j + 1] >> j & 1), default=0)
 
-    if complete:
-        delta: dict[int, int] = {}
-        identity_ok = None
-    else:
-        delta = {}
-        for j in range(1, kappa + 1):
-            delta[j] = sum(1 for i in range(j + 1, n + 1) if degrees[i - 1] == j)
-        identity_ok = n == sum(delta.values()) + kappa
+    delta = {} if complete else {j: degrees[j:].count(j) for j in range(1, kappa + 1)}
+    identity_ok = None if complete else n == sum(delta.values()) + kappa
 
     s = 0
-    theta = None
-    offset = 1
-    while r + offset <= n and degrees[r + offset - 1] >= r + 1:
-        s = offset
-        offset += 1
-    if s > 0:
-        theta = degrees[r + s - 1] - r
+    while r + s < n and degrees[r + s] >= r + 1:
+        s += 1
+    theta = degrees[r + s - 1] - r if s else None
     return ExtremalAudit(
         n=n, r=r, kappa=kappa, delta=delta, s=s, theta=theta,
         identity_ok=identity_ok, complete=complete,

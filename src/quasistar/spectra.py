@@ -38,8 +38,7 @@ creation order).  A scan's chunk fails as a whole; a table row is gated on
 its own, so the error names the requested graph's residual.
 
 Besides the two kernels the module holds ``same_radius``, the one rule by
-which two radii count as equal, and ``char_poly``, the exact characteristic
-polynomial of a small rational matrix such as a run quotient.
+which two radii count as equal.
 """
 
 from __future__ import annotations
@@ -341,32 +340,3 @@ def definite_above(mats: np.ndarray, x: np.ndarray):
         r = a[j, j + 1 :] / np.sqrt(np.where(sure, a[j, j], 1.0))
         a[j + 1 :, j + 1 :] -= r[:, None] * r[None, :]
     return sure, 64 * k * k * np.finfo(float).eps * (np.abs(x) + k)
-
-
-def char_poly(matrix) -> list[Fraction]:
-    """Monic characteristic polynomial det(xI - M), descending coefficients.
-
-    Faddeev-LeVerrier recursion in exact Fraction arithmetic, so integral
-    inputs give exact integer coefficients, at any size: with M_0 = 0,
-    M_j = M M_{j-1} + c_{j-1} I and c_j = -tr(M M_j) / j.
-    """
-    rows = [[_to_fraction(x) for x in row] for row in matrix]
-    k = len(rows)
-    if k == 0 or any(len(row) != k for row in rows):
-        raise ValueError("matrix must be square and non-empty")
-
-    coeffs = [Fraction(1)]
-    acc = [[Fraction(0)] * k for _ in range(k)]  # M_0
-    for j in range(1, k + 1):
-        acc = [[sum(rows[i][t] * acc[t][c] for t in range(k)) + (coeffs[-1] if i == c else 0)
-                for c in range(k)] for i in range(k)]
-        coeffs.append(-sum(rows[i][t] * acc[t][i] for i in range(k) for t in range(k)) / j)
-    return coeffs
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    return Fraction(float(x))

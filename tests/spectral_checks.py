@@ -1,7 +1,11 @@
-"""Signless-Laplacian and Perron-structure checks used by criteria 4 and 7.
+"""Signless-Laplacian, characteristic-polynomial and Perron-structure checks used by criteria 4 and 7.
 
 No CLI verdict uses these, so they live with the tests that do.
 """
+
+from fractions import Fraction
+
+import numpy as np
 
 from quasistar.graphs import LabeledGraph, ThresholdGraph, is_threshold
 from quasistar.spectra import HALF, RHO_COMPARE_TOL, spectral_radius, threshold_spectrum
@@ -65,3 +69,32 @@ def perron_order_check(g: LabeledGraph, alpha, tol: float = RHO_COMPARE_TOL):
             if x[nxt - 1] > x[prev - 1] + tol:
                 violations.append(("order", prev, nxt))
     return violations
+
+
+def char_poly(matrix) -> list[Fraction]:
+    """Monic characteristic polynomial det(xI - M), descending coefficients.
+
+    Faddeev-LeVerrier recursion in exact Fraction arithmetic, so integral
+    inputs give exact integer coefficients, at any size: with M_0 = 0,
+    M_j = M M_{j-1} + c_{j-1} I and c_j = -tr(M M_j) / j.
+    """
+    rows = [[_to_fraction(x) for x in row] for row in matrix]
+    k = len(rows)
+    if k == 0 or any(len(row) != k for row in rows):
+        raise ValueError("matrix must be square and non-empty")
+
+    coeffs = [Fraction(1)]
+    acc = [[Fraction(0)] * k for _ in range(k)]  # M_0
+    for j in range(1, k + 1):
+        acc = [[sum(rows[i][t] * acc[t][c] for t in range(k)) + (coeffs[-1] if i == c else 0)
+                for c in range(k)] for i in range(k)]
+        coeffs.append(-sum(rows[i][t] * acc[t][i] for i in range(k) for t in range(k)) / j)
+    return coeffs
+
+
+def _to_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return Fraction(int(x))
+    return Fraction(float(x))

@@ -29,9 +29,9 @@ from quasistar.search import (
     verify_sparse_band,
     verify_threshold_dominance,
 )
-from quasistar.spectra import alpha_matrix, char_poly, threshold_spectrum
+from quasistar.spectra import alpha_matrix, threshold_spectrum
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
-from spectral_checks import perron_order_check, q_upper_bound, signless_laplacian_radius
+from spectral_checks import char_poly, perron_order_check, q_upper_bound, signless_laplacian_radius
 
 HALF = Fraction(1, 2)
 SWEEP_ALPHAS = (HALF, Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))

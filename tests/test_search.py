@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -777,9 +778,39 @@ def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message)
         verify_threshold_dominance([n], [HALF])
 
 
+DOMINANCE_ALPHAS = [Fraction(0), Fraction(1, 100), Fraction(1, 4), HALF, Fraction(3, 5), Fraction(3, 4), Fraction(9, 10),
+                    Fraction(99, 100), Fraction(999, 1000), Fraction(9999, 10000), Fraction(99999, 100000)]
+
+
+def test_dominance_verdict_matches_the_two_scan_verdict():
+    # The one ALL scan's verdict, "every maximizer is threshold", is the verdict that also
+    # compared the ALL maximum with a threshold walk's, on every record, including the
+    # ok=0 window records near alpha = 1.
+    failures = 0
+    for n in range(1, 8):
+        for alpha in DOMINANCE_ALPHAS:
+            reports = search._all_reports(n, alpha)
+            walk = threshold_argmax([FamilySpec(n, m) for m in reports], alpha)
+            expected = [
+                replace(report, matches_theorem=same_radius(report.rho_max, threshold.rho_max)
+                        and all(is_threshold(from_edge_key(key, n)) for key in report.maximizer_set))
+                for report, threshold in zip(reports.values(), walk)
+            ]
+            assert verify_threshold_dominance([n], [alpha]) == expected, (n, alpha)
+            failures += sum(not r.matches_theorem for r in expected)
+    assert failures == 13  # ROADMAP direction 1: the window ties a non-threshold class near alpha = 1
+
+
+@pytest.mark.xfail(strict=True, reason=TIE_WINDOW)
+def test_dominance_near_alpha_one_has_only_threshold_maximizers():
+    # The non-threshold 12.13.14.15.25.34 (degrees 4,2,2,2,2) falls short of the
+    # threshold 12.13.14.15.23.24 by about 3.3e-11, inside the window.
+    assert threshold_dominance_report(5, 6, Fraction(99999, 100000)).matches_theorem
+
+
 def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
     # A sweep solves each order once per alpha, however many alphas it has:
-    # one threshold walk, one dense call for the seeds and one for the classes left.
+    # no threshold walk, one dense call for the seeds and one for the classes left.
     walks = []
 
     def counted(*args, _walk=search.threshold_argmax):
@@ -790,7 +821,7 @@ def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
     rows = counted_rows(monkeypatch, "dense_spectra")
     alphas = [Fraction(k, 17) for k in range(17)]
     reports = verify_threshold_dominance([7], alphas)
-    assert len(walks) == 17 and len(rows) == 2 * 17
+    assert len(walks) == 0 and len(rows) == 2 * 17
     assert [(r.family.m, r.alpha) for r in reports] == [(m, a) for m in range(6, 22) for a in alphas]
     assert all(r.matches_theorem for r in reports)
     assert reports[(9 - 6) * 17 + 5] == threshold_dominance_report(7, 9, alphas[5])

@@ -23,14 +23,13 @@ from quasistar.spectra import (
     alpha_matrices,
     alpha_matrix,
     as_alpha,
-    char_poly,
     count_above,
     definite_above,
     family_spectra,
     spectral_radius,
     threshold_spectrum,
 )
-from spectral_checks import perron_order_check, q_upper_bound, signless_laplacian_radius
+from spectral_checks import char_poly, perron_order_check, q_upper_bound, signless_laplacian_radius
 
 HALF = Fraction(1, 2)
 ALPHAS = [Fraction(0), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(9, 10)]
