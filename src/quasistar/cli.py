@@ -11,18 +11,22 @@ Verification reports are emitted one record per line in a fixed field order::
     family=H,n=6,m=8,alpha=1/2 rho=<...> maximizers=<seq;seq> tie_gap=<...> ok=1
 
 and the exit code is 0 when every record verified, 1 on a mismatch, 2 on a
-usage error (a sweep that selects no family is one), and 3 on numerical
-non-convergence.  All output is produced by a single writer after the scan
-has finished, so repeated runs are byte-identical.  ``--threads`` is accepted
-and ignored: scans run on one thread, which measured faster than a GIL-bound
-thread pool.  BLAS runs on one thread too, unless ``OPENBLAS_NUM_THREADS``,
-``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, because the solves are
-too small for a BLAS thread pool to help.
+usage error (a sweep that selects no family is one), 3 on numerical
+non-convergence, and 141 (128 + SIGPIPE) when the reader closes stdout
+before the output ends, as ``| head`` does; no process-wide SIGPIPE handler
+is installed, since ``main`` may run inside a caller's process.  All output
+is produced by a single writer after the scan has finished, so repeated runs
+are byte-identical.  ``--threads`` is accepted and ignored: scans run on one
+thread, which measured faster than a GIL-bound thread pool.  BLAS runs on
+one thread too, unless ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set, because the solves are too small for a BLAS
+thread pool to help.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -62,6 +66,7 @@ from .transforms import (
 
 USAGE_ERROR = 2
 NONCONVERGENCE = 3
+BROKEN_PIPE = 141
 
 
 def _fmt(x: float) -> str:
@@ -289,7 +294,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles help/usage itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's last flush stays quiet
+        # (the "Note on SIGPIPE" in Python's ``signal`` documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NONCONVERGENCE

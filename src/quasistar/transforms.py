@@ -27,9 +27,9 @@ The first two are two bit tests, run before any row is rebuilt.  A cell
 do not increase down the order, so the removed strip is all edges exactly
 when its last cell ``max(removals())`` is one, and the filled strip is all
 vacant exactly when its first cell ``min(additions())`` is.
-``bench/reference.py`` defines validity cell by cell, on dense matrices.  A
-rejection carries no text: ``validate`` formats its reason, by the row rule,
-when it is read.
+``bench/reference.py`` defines validity cell by cell, on dense matrices.
+``validate`` is a plain predicate; only ``apply_transform`` formats a
+rejection's reason, by the row rule, into its ``InvalidTransformError``.
 
 A move never touches an edge set.  Each spec caches the bits its cells clear
 and set in every row they touch; the moved bitmask rows give the rewired
@@ -146,33 +146,6 @@ class TransformSpec:
         return max(removed), min(self.additions()), min(removed)[1]
 
 
-class ValidationResult:
-    """Truthy exactly when the move is valid; ``reason`` names the first violation."""
-
-    def __init__(self, ok: bool, reason: str | None = None):
-        self.ok, self.reason = ok, reason
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-class _Rejection(tuple):
-    """A failed ``validate``: the pair (host, move), read like a ValidationResult.
-
-    Most calls reject, so a rejection runs no Python code until its reason is
-    read: a tuple subclass needs no ``__init__``, and it is falsy because
-    ``bool()`` of no argument is False.  ``_moved_rows`` formats the reason.
-    """
-
-    __slots__ = ()
-    ok = False
-    __bool__ = staticmethod(bool)
-
-    @property
-    def reason(self) -> str:
-        return _moved_rows(*self, explain=True)
-
-
 def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -> dict[int, int] | str | bool:
     """``{vertex: row after the move}`` for each touched row, or why the move fails.
 
@@ -203,14 +176,13 @@ def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -
     return moved
 
 
-def validate(g: ThresholdGraph, spec: TransformSpec) -> ValidationResult | _Rejection:
-    """Check the rewiring on g's stepwise matrix by the one prefix rule.
+def validate(g: ThresholdGraph, spec: TransformSpec) -> bool:
+    """Whether the rewiring applies to g, by the one prefix rule of ``_moved_rows``.
 
-    Returns a truthy/falsy result; on failure ``reason`` names the first
-    violation found by ``_moved_rows``, formatted only when it is read.
-    Raises ValueError when indices exceed the host size.
+    Raises ValueError when indices exceed the host size; ``apply_transform``
+    names the first violation of a move that fails.
     """
-    return ValidationResult(True) if _moved_rows(g, spec) else _Rejection((g, spec))
+    return bool(_moved_rows(g, spec))
 
 
 # A move is certified at a few alphas in a row; 256 entries cover that reuse.

@@ -273,6 +273,19 @@ def test_output_is_byte_identical_across_runs_and_threads():
     assert first.count(b"\n") == 13
 
 
+def test_closed_stdout_exits_141_quietly():
+    # The family prints 2.8 MB; the reader takes one line and closes the pipe, as ``| head -1`` does.
+    args = [sys.executable, "-m", "quasistar.cli", "enumerate", "30", "120", "--connected"]
+    env = dict(os.environ, PYTHONPATH=str(Path(quasistar.__file__).parents[1]))
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first == b"IIIIIIIIIIDIIIIIIIIIIIIIIIDDDD\n"
+    assert code == 141 and err == b""
+
+
 # sha256 of the structured stdout of each sweep.  A change that keeps every
 # verdict, radius and tie gap bit for bit keeps these digests.
 PINNED_VERIFY_DIGESTS = {

@@ -218,9 +218,13 @@ PINNED_CLASS_DIGESTS = {
 
 
 def test_graph_classes_match_pinned_digest():
-    # Every class representative, hence every edge_key printed, is unchanged.
+    # Every class representative, hence every edge_key printed, is unchanged;
+    # a scan's report keys, read off the mask bits, are those edge_keys.
     for n, digest in PINNED_CLASS_DIGESTS.items():
-        assert hashlib.sha256(repr(search._graph_classes(n)).encode()).hexdigest() == digest
+        classes = search._graph_classes(n)
+        assert hashlib.sha256(repr(classes).encode()).hexdigest() == digest
+        for mask in itertools.chain.from_iterable(classes):
+            assert search._mask_key(mask, n) == edge_key(search._labeled_from_mask(mask, n)), (n, mask)
 
 
 def test_perm_weights_are_exact_in_float32():

@@ -23,7 +23,6 @@ from quasistar.spectra import spectral_radius, threshold_spectrum
 from quasistar.transforms import (
     InvalidTransformError,
     TransformSpec,
-    ValidationResult,
     apply_transform,
     candidate_specs,
     certify,
@@ -131,12 +130,19 @@ def test_col_rewiring_to_s_9_23():
 # Validation
 # ---------------------------------------------------------------------------
 
+def rejection_reason(g, spec) -> str | None:
+    """Why ``apply_transform`` refuses the move, without its ``invalid KIND rewiring: `` prefix; None when it applies."""
+    try:
+        apply_transform(g, spec)
+    except InvalidTransformError as exc:
+        prefix = f"invalid {spec.kind} rewiring: "
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):]
+    return None
+
+
 # The paper's conditions (ii) and (iii), clause by clause for each kind: the
 # reference that the one prefix rule in ``validate`` must agree with.
-
-def _fail(reason: str) -> ValidationResult:
-    return ValidationResult(False, reason)
-
 
 def _all_set(row: int, lo: int, hi: int) -> bool:
     """Bits lo..hi of row all set (vacuously true when lo > hi)."""
@@ -156,80 +162,79 @@ def _none_set(row: int, lo: int, hi: int) -> bool:
 def validate_by_clauses(g, spec):
     """Check the adjacency conditions of the rewiring on g's stepwise matrix.
 
-    Returns a truthy/falsy result; on failure ``reason`` names the first
-    violated clause.  Raises ValueError when indices exceed the host size.
+    Returns None when the move is valid, else the first violated clause.
+    Raises ValueError when indices exceed the host size.
     """
     if spec.p > g.n:
         raise ValueError(f"index p={spec.p} out of range for n={g.n}")
     if not g.is_connected:
-        return _fail("host graph is not connected")
+        return "host graph is not connected"
     rows = g.stepwise_rows
     p, q, h, k, l = spec.p, spec.q, spec.h, spec.k, spec.l
 
     if spec.kind == "BASIC":
         if rows[p] >> q & 1:
-            return _fail(f"(ii): a[{p},{q}] = 1, the target corner is not vacant")
+            return f"(ii): a[{p},{q}] = 1, the target corner is not vacant"
         if not _all_set(rows[p], 1, q - 1):
-            return _fail(f"(ii): row {p} is not full on columns 1..{q - 1}")
+            return f"(ii): row {p} is not full on columns 1..{q - 1}"
         if not _all_set(rows[q], q + 1, p - 1):
-            return _fail(f"(ii): column {q} is not full on rows {q + 1}..{p - 1}")
+            return f"(ii): column {q} is not full on rows {q + 1}..{p - 1}"
         if not rows[h] >> k & 1:
-            return _fail(f"(iii): a[{h},{k}] = 0, there is no edge to remove")
+            return f"(iii): a[{h},{k}] = 0, there is no edge to remove"
         if not _none_set(rows[h], k + 1, g.n):
-            return _fail(f"(iii): row {h} extends past column {k}")
+            return f"(iii): row {h} extends past column {k}"
         if not _none_set(rows[k], h + 1, g.n):
-            return _fail(f"(iii): column {k} extends past row {h}")
-        return ValidationResult(True)
+            return f"(iii): column {k} extends past row {h}"
+        return None
 
     if spec.kind == "ROW":
         for i in range(p - l, p + 1):
             if rows[i] >> q & 1:
-                return _fail(f"(ii): a[{i},{q}] = 1, a target cell is not vacant")
+                return f"(ii): a[{i},{q}] = 1, a target cell is not vacant"
             if not _all_set(rows[i], 1, q - 1):
-                return _fail(f"(ii): row {i} is not full on columns 1..{q - 1}")
+                return f"(ii): row {i} is not full on columns 1..{q - 1}"
         if not _all_set(rows[q], q + 1, p - l - 1):
-            return _fail(f"(ii): column {q} is not full on rows {q + 1}..{p - l - 1}")
+            return f"(ii): column {q} is not full on rows {q + 1}..{p - l - 1}"
         if not _all_set(rows[h], k, k + l):
-            return _fail(f"(iii): row {h} is missing a column in {k}..{k + l}")
+            return f"(iii): row {h} is missing a column in {k}..{k + l}"
         if not _none_set(rows[h], k + l + 1, g.n):
-            return _fail(f"(iii): row {h} extends past column {k + l}")
+            return f"(iii): row {h} extends past column {k + l}"
         if not _none_set(rows[h + 1], k, k + l):
-            return _fail(f"(iii): row {h + 1} still holds a column in {k}..{k + l}")
-        return ValidationResult(True)
+            return f"(iii): row {h + 1} still holds a column in {k}..{k + l}"
+        return None
 
     # COL
     for s in range(q - l, q + 1):
         if rows[p] >> s & 1:
-            return _fail(f"(ii): a[{p},{s}] = 1, a target cell is not vacant")
+            return f"(ii): a[{p},{s}] = 1, a target cell is not vacant"
         if not _all_set(rows[s], s + 1, p - 1):
-            return _fail(f"(ii): column {s} is not full on rows {s + 1}..{p - 1}")
+            return f"(ii): column {s} is not full on rows {s + 1}..{p - 1}"
     if not _all_set(rows[p], 1, q - l - 1):
-        return _fail(f"(ii): row {p} is not full on columns 1..{q - l - 1}")
+        return f"(ii): row {p} is not full on columns 1..{q - l - 1}"
     for s in range(h - l, h + 1):
         if not rows[s] >> k & 1:
-            return _fail(f"(iii): a[{s},{k}] = 0, there is no edge to remove")
+            return f"(iii): a[{s},{k}] = 0, there is no edge to remove"
         if not _none_set(rows[s], k + 1, g.n):
-            return _fail(f"(iii): row {s} extends past column {k}")
+            return f"(iii): row {s} extends past column {k}"
     if not _none_set(rows[k], h + 1, g.n):
-        return _fail(f"(iii): column {k} extends past row {h}")
-    return ValidationResult(True)
+        return f"(iii): column {k} extends past row {h}"
+    return None
 
 
 def test_complete_graph_admits_no_rewiring():
     k7 = from_creation_sequence("IDDDDDD")
     for kind in ("BASIC", "ROW", "COL"):
         for spec in candidate_specs(7, kind):
-            result = validate(k7, spec)
-            assert not result
-            assert "vacant" in result.reason
+            assert not validate(k7, spec)
+            assert "vacant" in rejection_reason(k7, spec)
 
 
 def test_validate_reports_first_violated_clause():
     host = l_graph(7, 12)
     bad = TransformSpec("ROW", 7, 2, 5, 3, 0)  # needs width 1: row 6 misses column 2 too
-    result = validate(host, bad)
-    assert not result and "row 2 is not stepwise after the move" in result.reason
-    assert "column 2 is not full on rows 3..6" in validate_by_clauses(host, bad).reason
+    assert not validate(host, bad)
+    assert rejection_reason(host, bad) == "row 2 is not stepwise after the move"
+    assert validate_by_clauses(host, bad) == "(ii): column 2 is not full on rows 3..6"
 
 
 def clause_reference_pairs():
@@ -244,8 +249,8 @@ def clause_reference_pairs():
 def test_prefix_rule_matches_clause_reference():
     pairs = valid = 0
     for g, spec in clause_reference_pairs():
-        expected = bool(validate_by_clauses(g, spec))
-        assert bool(validate(g, spec)) == expected, (g.text, spec.text)
+        expected = validate_by_clauses(g, spec) is None
+        assert validate(g, spec) is expected, (g.text, spec.text)
         pairs += 1
         valid += expected
     assert (pairs, valid) == (50460, 743)
@@ -259,9 +264,8 @@ def test_rejection_reasons_match_pinned_digest():
     digest = hashlib.sha256()
     rejected = 0
     for g, spec in clause_reference_pairs():
-        result = validate(g, spec)
-        if not result:
-            digest.update(f"{g.text}|{spec.text}|{result.reason}\n".encode())
+        if not validate(g, spec):
+            digest.update(f"{g.text}|{spec.text}|{rejection_reason(g, spec)}\n".encode())
             rejected += 1
     assert rejected == 50460 - 743
     assert digest.hexdigest() == PINNED_REASON_DIGEST
@@ -291,7 +295,7 @@ def test_bitboard_cell_tests_match_row_rule():
             g = from_creation_sequence(("I",) + tail)
             for spec in specs:
                 expected = validate_by_rows(g, spec)
-                assert bool(validate(g, spec)) == expected, (g.text, spec.text)
+                assert validate(g, spec) is expected, (g.text, spec.text)
                 pairs += 1
                 valid += expected
     assert (pairs, valid) == (86552, 651)
@@ -304,8 +308,9 @@ def test_validate_index_out_of_range():
 
 def test_validate_rejects_disconnected_host():
     host = from_creation_sequence("IDDDDI")  # K_5 u K_1
-    result = validate(host, TransformSpec("BASIC", 5, 2, 4, 3))
-    assert not result and "connected" in result.reason
+    spec = TransformSpec("BASIC", 5, 2, 4, 3)
+    assert validate(host, spec) is False
+    assert rejection_reason(host, spec) == "host graph is not connected"
 
 
 def test_apply_refuses_invalid_spec():
