@@ -4,6 +4,8 @@ Verbs: ``construct``, ``rho``, ``transform``, ``enumerate``, ``verify``,
 ``audit``.  Graph arguments are auto-detected: a string over {I, D} is read
 as a creation sequence, anything else as the path of an edge-list file
 (first line ``n m``, then one ``u v`` pair per line, 1-indexed, u < v).
+``rho`` solves a sequence by the threshold kernel and a file by the dense
+path, even when the file's graph is threshold (``spectral_radius`` picks).
 alpha arguments are exact rationals, e.g. ``1/2`` or ``0.75``.
 
 Verification reports are emitted one record per line in a fixed field order::
@@ -11,7 +13,8 @@ Verification reports are emitted one record per line in a fixed field order::
     family=H,n=6,m=8,alpha=1/2 rho=<...> maximizers=<seq;seq> tie_gap=<...> ok=1
 
 and the exit code is 0 when every record verified, 1 on a mismatch, 2 on a
-usage error (a sweep that selects no family is one), 3 on numerical
+usage error (a sweep that selects no family is one, and so is an option that
+its ``verify`` target does not read), 3 on numerical
 non-convergence, and 141 (128 + SIGPIPE) when the reader closes stdout
 before the output ends, as ``| head`` does; no process-wide SIGPIPE handler
 is installed, since ``main`` may run inside a caller's process.  All output
@@ -136,11 +139,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rho(args) -> int:
-    g = _parse_graph(args.graph)
-    if isinstance(g, ThresholdGraph):
-        g = to_labeled(g)
-    alpha = as_alpha(args.alpha)
-    spec = spectral_radius(g, alpha)
+    spec = spectral_radius(_parse_graph(args.graph), as_alpha(args.alpha))
     print(f"rho={_fmt(spec.rho)}")
     print(f"q={_fmt(2.0 * spec.rho)}")
     print(f"residual={_fmt(spec.residual)}")
@@ -194,6 +193,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.r is not None and args.target != "t42":
+        raise ValueError(f"verify {args.target} takes no --r; only t42 has a band parameter")
+    if args.alpha is not None and args.target == "t12":
+        raise ValueError("verify t12 checks alpha = 1/2 only and takes no --alpha")
     if args.target == "t41":
         n_values = _parse_range(args.n or "4..12")
         alphas = _parse_alphas(args.alpha or "1/2,3/4")
@@ -275,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run an extremal verification sweep")
     p.add_argument("target", choices=("t41", "t12", "t42", "lemma24"))
     p.add_argument("--n", default=None, help="order or range, e.g. 6..12")
-    p.add_argument("--alpha", default=None, help="comma list, e.g. 1/2,3/4")
-    p.add_argument("--r", type=int, default=None, help="band parameter for t42")
+    p.add_argument("--alpha", default=None, help="comma list, e.g. 1/2,3/4; not for t12")
+    p.add_argument("--r", type=int, default=None, help="band parameter; t42 only")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("audit", help="staircase statistics of a threshold graph")

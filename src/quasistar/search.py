@@ -56,6 +56,7 @@ from .spectra import (
     FAMILY_CHUNK,
     HALF,
     RHO_COMPARE_TOL,
+    _rows,
     alpha_matrices,
     as_alpha,
     count_above,
@@ -99,11 +100,6 @@ class FamilySpec:
     @property
     def label(self) -> str:
         return "H" if self.connected_only else "G"
-
-
-def _rows(masks, n: int) -> np.ndarray:
-    """The (len(masks), n) bool matrix of the low n bits of the given bitmasks (n < 64)."""
-    return np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n) & 1 == 1
 
 
 def enumerate_threshold(family: FamilySpec):

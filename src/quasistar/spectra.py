@@ -13,9 +13,9 @@ Dominant eigenpairs come from LAPACK's ``numpy.linalg.eigh``, in two
 batched kernels that each solve a whole stack with one stacked call.
 General graphs go through ``dense_spectra``: ``alpha_matrices`` assembles
 M_alpha for a (B, k, k) stack of adjacency matrices, and the kernel solves
-the stack.  ``alpha_matrix`` and ``spectral_radius`` are its one-graph
-callers; the latter solves each connected component as a stack of one and
-keeps the largest radius.  ``definite_above`` spares a scan the matrices
+the stack.  ``spectral_radius`` alone picks the kernel for one graph: a
+``ThresholdGraph`` reads ``threshold_spectrum``, any other graph is solved
+densely, component by component.  ``definite_above`` spares a scan the matrices
 whose x I - M_alpha has only positive Cholesky pivots, which proves rho
 below x + 64 k^2 eps (|x| + k).  Threshold graphs have one kernel,
 ``family_spectra``, on their run quotients: maximal runs of equal creation
@@ -165,13 +165,15 @@ def dense_spectra(mats: np.ndarray):
     return rho, top, residual
 
 
-def spectral_radius(g: LabeledGraph, alpha) -> Spectrum:
-    """Spectral radius and Perron vector of M_alpha(g), by ``dense_spectra``.
+def spectral_radius(g: LabeledGraph | ThresholdGraph, alpha) -> Spectrum:
+    """Spectral radius and Perron vector of M_alpha(g), from the one kernel that suits g.
 
-    Disconnected graphs are solved component by component and the radius is
-    the maximum over components (ties go to the component containing the
-    smallest vertex, which still yields a genuine eigenvector).
+    A ``ThresholdGraph`` reads ``threshold_spectrum`` (in ``to_labeled``'s labels);
+    any other graph goes to ``dense_spectra`` by component, the largest radius wins
+    (ties go to the smallest vertex's component, still a genuine eigenvector).
     """
+    if isinstance(g, ThresholdGraph):
+        return threshold_spectrum(g, alpha)
     mat = alpha_matrix(g, alpha)
     best = None  # (rho, component indices, unit vector, residual)
     for comp in g.components():
@@ -213,10 +215,12 @@ def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
 @lru_cache(maxsize=16)  # 512 rows of 12 floats at n = 10; a sweep of one order keeps its alphas' tables
 def _order_table(n: int, alpha: Fraction):
     """Ungated stepwise rows of all threshold graphs on n vertices; row r has D at j >= 1 for bit j - 1."""
-    r = np.arange(1 << (n - 1))
-    dom = np.zeros((len(r), n), dtype=bool)
-    dom[:, 1:] = r[:, None] >> np.arange(n - 1) & 1
-    return _stepwise_rows(dom, alpha)
+    return _stepwise_rows(_rows(np.arange(1 << (n - 1)) << 1, n), alpha)
+
+
+def _rows(masks, n: int) -> np.ndarray:
+    """The (len(masks), n) bool matrix of the low n bits of the given bitmasks (n < 64)."""
+    return np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n) & 1 == 1
 
 
 def _stepwise_rows(dom: np.ndarray, alpha: Fraction):

@@ -7,14 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from quasistar.graphs import LabeledGraph, ThresholdGraph, is_threshold
-from quasistar.spectra import HALF, RHO_COMPARE_TOL, spectral_radius, threshold_spectrum
+from quasistar.graphs import LabeledGraph, is_threshold
+from quasistar.spectra import HALF, RHO_COMPARE_TOL, spectral_radius
 
 
 def rho_of(g, alpha) -> float:
     """Spectral radius as a float; accepts LabeledGraph or ThresholdGraph."""
-    if isinstance(g, ThresholdGraph):
-        return threshold_spectrum(g, alpha).rho
     return spectral_radius(g, alpha).rho
 
 

@@ -1,16 +1,19 @@
 """Command-line behavior: verbs, auto-detection, records, exit codes."""
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasistar
 from quasistar.cli import main
-from quasistar.graphs import format_edge_list, quasi_star, to_labeled
+from quasistar.graphs import format_edge_list, from_creation_sequence, quasi_star, to_labeled
+from quasistar.spectra import spectral_radius, threshold_spectrum
 
 
 def run(capsys, *argv):
@@ -75,11 +78,48 @@ def test_rho_lower_bound_on_2n_minus_2(capsys):
     assert code == 0 and float(fields["q"]) >= 11.6
 
 
+def rho_fields(spec):
+    """The lines ``rho`` prints for a Spectrum, each value as ``%.17g``."""
+    return {
+        "rho": f"{spec.rho:.17g}",
+        "q": f"{2.0 * spec.rho:.17g}",
+        "residual": f"{spec.residual:.17g}",
+        "perron": " ".join(f"{v:.17g}" for v in spec.perron),
+    }
+
+
 def test_rho_edge_list_file(tmp_path, capsys):
+    # A file is solved by the dense path, even when its graph is threshold.
+    lab = to_labeled(quasi_star(6, 10))
     path = tmp_path / "graph.txt"
-    path.write_text(format_edge_list(to_labeled(quasi_star(6, 10))))
+    path.write_text(format_edge_list(lab))
     code, out, _ = run(capsys, "rho", str(path), "3/4")
-    assert code == 0 and out.startswith("rho=")
+    assert code == 0
+    assert dict(line.split("=", 1) for line in out.splitlines()) == rho_fields(spectral_radius(lab, "3/4"))
+
+
+@pytest.mark.parametrize("alpha", ["0", "1/2", "3/5", "999/1000"])
+def test_rho_of_a_creation_sequence_is_the_threshold_kernel_row(capsys, alpha):
+    # Every threshold graph with n <= 7, connected or not: one radius and one
+    # Perron vector per graph, whichever entry point asks.
+    texts = ["I" + "".join(tail) for n in range(1, 8) for tail in itertools.product("ID", repeat=n - 1)]
+    assert len(texts) == 127
+    for text in texts:
+        code, out, _ = run(capsys, "rho", text, alpha)
+        assert code == 0, text
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert fields == rho_fields(threshold_spectrum(from_creation_sequence(text), alpha)), (text, alpha)
+
+
+def test_rho_prints_the_radius_that_verify_reports(capsys):
+    code, out, _ = run(capsys, "--format", "structured", "verify", "t41", "--n", "7", "--alpha", "3/5")
+    assert code == 0
+    records = [dict(field.split("=", 1) for field in line.split()[1:]) for line in out.splitlines()]
+    assert len(records) == 7
+    for record in records:
+        for maximizer in record["maximizers"].split(";"):
+            assert run(capsys, "rho", maximizer, "3/5")[1].splitlines()[0] == "rho=" + record["rho"], maximizer
+    assert run(capsys, "rho", "IIDIIIIID", "3/5")[1].splitlines()[0] == "rho=5.1294215576590636"
 
 
 def test_rho_bad_alpha(capsys):
@@ -101,16 +141,18 @@ def test_rho_bad_graph_token(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch):
-    from quasistar import cli
-    from quasistar.spectra import NonConvergenceError
-
-    def explode(*args, **kwargs):
-        raise NonConvergenceError(residual=1e-3)
-
-    monkeypatch.setattr(cli, "spectral_radius", explode)
-    code, _, err = run(capsys, "rho", "IDD", "1/2")
-    assert code == 3 and "did not converge" in err
+def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch, tmp_path, cold_spectrum_cache):
+    # Each kernel really runs under an eigh whose eigenvalues are off by 1e-6,
+    # and its own residual certificate fails: the threshold kernel on a
+    # creation sequence, the dense path on an edge-list file.
+    path = tmp_path / "graph.txt"
+    path.write_text(format_edge_list(to_labeled(quasi_star(6, 10))))
+    exact = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: (exact(mat)[0] + 1e-6, exact(mat)[1]))
+    for graph in (quasi_star(6, 10).text, str(path)):
+        code, out, err = run(capsys, "rho", graph, "1/2")
+        assert code == 3 and out == "", graph
+        assert err.startswith("error:") and "did not converge" in err, graph
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +279,18 @@ def test_verify_empty_sweep_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "selects no family" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "t12", "--n", "5", "--alpha", "3/4"),  # t12 checks alpha = 1/2 only
+    ("verify", "t41", "--n", "5", "--r", "3"),
+    ("verify", "t12", "--n", "5", "--r", "3"),
+    ("verify", "lemma24", "--n", "4", "--r", "3"),
+])
+def test_verify_refuses_an_option_its_target_does_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -205,23 +205,6 @@ def _perturbed_eigh(monkeypatch, shift):
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
 
 
-def clear_threshold_caches():
-    spectra._threshold_spectrum.cache_clear()
-    spectra._order_table.cache_clear()
-
-
-@pytest.fixture
-def cold_spectrum_cache():
-    """Empty the spectrum cache and the order tables, so the kernel really runs.
-
-    They are emptied again afterwards: a table solved under a patched
-    ``eigh`` must not serve a later test.
-    """
-    clear_threshold_caches()
-    yield
-    clear_threshold_caches()
-
-
 def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
     g = quasi_star(6, 10)
     alpha = Fraction(7, 13)
@@ -406,6 +389,7 @@ def test_threshold_spectrum_cache_consistency():
     s1 = threshold_spectrum(g, HALF)
     s2 = threshold_spectrum(g, Fraction(2, 4))
     assert s1 is s2  # exact rational key: 2/4 == 1/2
+    assert spectral_radius(g, HALF) is s1  # a threshold graph's one-graph entry is its cached row
 
 
 # ---------------------------------------------------------------------------
