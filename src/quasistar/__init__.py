@@ -25,9 +25,7 @@ from .graphs import (
     NotThresholdError,
     SplitParams,
     ThresholdGraph,
-    from_creation_sequence,
     from_degree_sequence,
-    is_threshold,
     l_graph,
     quasi_star,
     split_params,

@@ -3,7 +3,8 @@
 Verbs: ``construct``, ``rho``, ``transform``, ``enumerate``, ``verify``,
 ``audit``.  Graph arguments are auto-detected: a string over {I, D} is read
 as a creation sequence, anything else as the path of an edge-list file
-(first line ``n m``, then one ``u v`` pair per line, 1-indexed, u < v).
+(first line ``n m``, then one ``u v`` pair per line, 1-indexed, u < v); a
+file whose name is over {I, D} is read as ``./did``.
 ``rho`` solves a sequence by the threshold kernel and a file by the dense
 path, even when the file's graph is threshold (``spectral_radius`` picks).
 alpha arguments are exact rationals, e.g. ``1/2`` or ``0.75``.
@@ -38,7 +39,6 @@ from .graphs import (
     ThresholdGraph,
     format_edge_list,
     from_degree_sequence,
-    parse_creation,
     parse_edge_list,
     quasi_star,
     l_graph,
@@ -80,9 +80,12 @@ def _parse_graph(text: str):
     """Creation sequence when the token is over {I, D}; edge-list file else."""
     token = text.strip()
     if token and set(token.upper()) <= {"I", "D"}:
-        return parse_creation(token.upper())
-    path = Path(token)
-    return parse_edge_list(path.read_text())
+        try:
+            return ThresholdGraph(token.upper())
+        except ValueError as exc:
+            raise ValueError(f"{token!r} was read as a creation sequence: {exc}; "
+                             f"to read an edge-list file of that name, write ./{token}") from None
+    return parse_edge_list(Path(token).read_text())
 
 
 def _as_threshold(g) -> ThresholdGraph:
@@ -126,7 +129,7 @@ def _cmd_construct(args) -> int:
     elif kind == "from-seq":
         if len(args.params) != 1:
             raise ValueError("construct from-seq needs one creation sequence")
-        _emit_graph(parse_creation(args.params[0].upper()))
+        _emit_graph(ThresholdGraph(args.params[0].strip().upper()))
     elif kind == "from-degseq":
         if not args.params:
             raise ValueError("construct from-degseq needs a degree list such as 5,5,2,2,2,2")

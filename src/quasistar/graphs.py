@@ -5,9 +5,10 @@ isolated vertex (symbol ``I``) or a dominating vertex (symbol ``D``, adjacent
 to everything added before it).  With the first symbol pinned to ``I`` the
 creation sequence determines the unlabeled graph uniquely, and conversely any
 threshold graph can be peeled back to its sequence by repeatedly removing a
-dominating or isolated vertex.  The sequence is therefore used as the
-canonical form throughout this package: two threshold graphs are structurally
-equal iff their sequences are equal.
+dominating or isolated vertex.  The sequence is therefore the canonical form
+throughout this package, and ``ThresholdGraph`` is that string alone:
+``ThresholdGraph("IDIIDD")`` is its one constructor, n is the string's length,
+and two threshold graphs are structurally equal iff their strings are equal.
 
 Under a degree-descending vertex numbering the adjacency matrix of a threshold
 graph is *stepwise*: a_hk = 1 with h > k forces a_ij = 1 for all j < i <= h,
@@ -26,7 +27,7 @@ number of vertices left is dominating in every realization, and a vertex of
 degree 0 is isolated in every one.  So a labeled graph is threshold exactly
 when its sorted degrees peel, and the peel is its creation sequence.
 ``from_degree_sequence`` is that peel, one O(n) pass from both ends of the
-sorted list; ``threshold_from_labeled``, ``is_threshold`` and ``is_threshold_degrees`` go through it.
+sorted list; ``threshold_from_labeled`` and ``is_threshold_degrees`` go through it.
 
 Families provided here, for n vertices and m edges:
 
@@ -46,7 +47,6 @@ from functools import cached_property
 
 ISOLATED = "I"
 DOMINATING = "D"
-_SYMBOLS = frozenset((ISOLATED, DOMINATING))
 
 
 class NotThresholdError(ValueError):
@@ -55,46 +55,47 @@ class NotThresholdError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdGraph:
-    """Immutable threshold graph in canonical creation-sequence form.
+    """Immutable threshold graph: its canonical creation sequence, ``ThresholdGraph("IDIIDD")``.
 
-    ``creation[i]`` says how vertex i+1 was added relative to vertices
-    1..i: ``DOMINATING`` makes it adjacent to all of them, ``ISOLATED`` to
-    none.  The edge count is recoverable as the sum of i over the dominating
-    positions (0-based), and the graph is connected iff the last symbol is
-    ``DOMINATING`` (or n = 1).
+    ``text[i]`` says how vertex i+1 was added relative to vertices 1..i:
+    ``D`` (``DOMINATING``) makes it adjacent to all of them, ``I``
+    (``ISOLATED``) to none.  The edge count is the sum of i over the
+    dominating positions (0-based), and the graph is connected iff the last
+    symbol is ``D`` (or n = 1).
     """
 
-    n: int
-    creation: tuple[str, ...]
+    text: str
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n != len(self.creation):
-            raise ValueError(f"creation sequence length {len(self.creation)} != n={self.n}")
-        for sym in self.creation:
-            if sym not in _SYMBOLS:
-                raise ValueError(f"creation symbols must be 'I' or 'D', got {sym!r}")
-        if self.creation[0] != ISOLATED:
+        if not isinstance(self.text, str):
+            raise TypeError(f"a creation sequence is a str such as 'IDIIDD', not {type(self.text).__name__}")
+        if not self.text:
+            raise ValueError("creation sequence must be non-empty")
+        stray = self.text.strip(ISOLATED + DOMINATING)
+        if stray:
+            raise ValueError(f"creation symbols must be 'I' or 'D', got {stray[0]!r}")
+        if self.text[0] != ISOLATED:
             raise ValueError("first creation symbol must be ISOLATED")
+
+    @cached_property  # read on every ``validate`` call; as a plain property it slowed that loop by a quarter
+    def n(self) -> int:
+        return len(self.text)
 
     @property
     def m(self) -> int:
-        return sum(i for i, sym in enumerate(self.creation) if sym == DOMINATING)
+        return sum(i for i, sym in enumerate(self.text) if sym == DOMINATING)
 
     @cached_property
     def is_connected(self) -> bool:
-        return self.n == 1 or self.creation[-1] == DOMINATING
-
-    @property
-    def text(self) -> str:
-        return "".join(self.creation)
+        return self.n == 1 or self.text[-1] == DOMINATING
 
     def creation_degrees(self) -> list[int]:
         """Degree of each creation-step vertex, index 0 = first vertex added."""
         deg = []
         later_dom = 0
         for i in range(self.n - 1, -1, -1):
-            deg.append((i if self.creation[i] == DOMINATING else 0) + later_dom)
-            if self.creation[i] == DOMINATING:
+            deg.append((i if self.text[i] == DOMINATING else 0) + later_dom)
+            if self.text[i] == DOMINATING:
                 later_dom += 1
         deg.reverse()
         return deg
@@ -112,9 +113,6 @@ class ThresholdGraph:
         """
         degrees = self.degree_sequence()
         return (0,) + tuple(stepwise_row(v, d) for v, d in enumerate(degrees, start=1))
-
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThresholdGraph({self.text})"
 
 
 def stepwise_row(v: int, d: int) -> int:
@@ -192,24 +190,8 @@ class LabeledGraph:
 
 
 # ---------------------------------------------------------------------------
-# Creation sequences
+# Stepwise labeling, and recognition by the degree peel
 # ---------------------------------------------------------------------------
-
-def from_creation_sequence(seq) -> ThresholdGraph:
-    """Build a threshold graph from a creation sequence (string or iterable).
-
-    The sequence must be non-empty and start with ``ISOLATED``.
-    """
-    symbols = tuple(seq)
-    if not symbols:
-        raise ValueError("creation sequence must be non-empty")
-    return ThresholdGraph(len(symbols), symbols)
-
-
-def parse_creation(text: str) -> ThresholdGraph:
-    """Parse a creation-sequence string such as ``"IDDDDI"``."""
-    return from_creation_sequence(text.strip())
-
 
 def to_labeled(g: ThresholdGraph) -> LabeledGraph:
     """Relabel in degree-descending order, read off ``g.stepwise_rows``.
@@ -261,20 +243,7 @@ def from_degree_sequence(degrees) -> ThresholdGraph:
                 f"reduction stuck at step {len(reversed_syms)}: remaining degrees "
                 f"{tuple(x - taken for x in d[lo:hi + 1])} have no dominating or isolated vertex"
             )
-    return ThresholdGraph(len(d), tuple(reversed(reversed_syms)))
-
-
-# ---------------------------------------------------------------------------
-# Recognition
-# ---------------------------------------------------------------------------
-
-def is_threshold(g: LabeledGraph) -> bool:
-    """True iff g is a threshold graph (no induced 2K_2, C_4, or P_4).
-
-    Tested by peeling the sorted degrees: threshold sequences are unigraphic,
-    so any graph whose degrees peel is the threshold graph they describe.
-    """
-    return is_threshold_degrees(g.degrees())
+    return ThresholdGraph("".join(reversed_syms)[::-1])
 
 
 def is_threshold_degrees(degrees) -> bool:
@@ -345,30 +314,23 @@ def quasi_star(n: int, m: int) -> ThresholdGraph:
     k, a = sp.k, sp.a
     tail = n - a - k - 1
     if a > 0:
-        seq = (ISOLATED,) * a + (DOMINATING,) + (ISOLATED,) * tail + (DOMINATING,) * k
+        text = "I" * a + "D" + "I" * tail + "D" * k
     else:
-        seq = (ISOLATED,) * (n - k) + (DOMINATING,) * k
-    return _with_edges(ThresholdGraph(n, seq), m)
+        text = "I" * (n - k) + "D" * k
+    return _with_edges(ThresholdGraph(text), m)
 
 
 def l_graph(n: int, m: int) -> ThresholdGraph:
     """L(n,m): one universal vertex over a clique-plus-pendant arrangement."""
     sp = split_params(n, m)
     if n == 1:
-        return ThresholdGraph(1, (ISOLATED,))
+        return ThresholdGraph("I")
     kb, ab = sp.kbar, sp.abar
     if ab == 0:
-        seq = (ISOLATED,) + (DOMINATING,) * (kb - 1) + (ISOLATED,) * (n - kb - 1) + (DOMINATING,)
+        text = "I" + "D" * (kb - 1) + "I" * (n - kb - 1) + "D"
     else:
-        seq = (
-            (ISOLATED,)
-            + (DOMINATING,) * (kb - ab - 1)
-            + (ISOLATED,)
-            + (DOMINATING,) * ab
-            + (ISOLATED,) * (n - kb - 2)
-            + (DOMINATING,)
-        )
-    return _with_edges(ThresholdGraph(n, seq), m)
+        text = "I" + "D" * (kb - ab - 1) + "I" + "D" * ab + "I" * (n - kb - 2) + "D"
+    return _with_edges(ThresholdGraph(text), m)
 
 
 def tilde_s(n: int, m: int) -> ThresholdGraph:
@@ -382,8 +344,7 @@ def tilde_s(n: int, m: int) -> ThresholdGraph:
     for k in range(0, n - 2):
         mk = k * n - k * (k + 1) // 2 + 3
         if mk == m:
-            seq = (ISOLATED, DOMINATING, DOMINATING) + (ISOLATED,) * (n - k - 3) + (DOMINATING,) * k
-            return _with_edges(ThresholdGraph(n, seq), m)
+            return _with_edges(ThresholdGraph("IDD" + "I" * (n - k - 3) + "D" * k), m)
         if mk > m:
             break
     raise ValueError(f"tilde-S is undefined for n={n}, m={m}: m != k*n - k(k+1)/2 + 3 for any k")

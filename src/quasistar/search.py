@@ -109,7 +109,7 @@ def enumerate_threshold(family: FamilySpec):
         rank = np.arange(lo, min(lo + FAMILY_CHUNK, size), dtype=np.int64)
         rows = _unrank(root.repeat(len(rank), axis=0), need.repeat(len(rank)), rank, top, c)
         for symbols in np.where(rows, DOMINATING, ISOLATED).tolist():
-            yield ThresholdGraph(family.n, tuple(symbols))
+            yield ThresholdGraph("".join(symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -545,32 +545,26 @@ def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
 
 
 def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
-    """The ALL-connected scan of (n, m); ``matches_theorem`` is True when every maximizer is a threshold graph.
-
-    That also makes the threshold-only maximum the ALL maximum (``_dominance_reports``).
-    """
+    """The ALL-connected scan of (n, m): ``verify_threshold_dominance``'s one-order view."""
     FamilySpec(n, m, universe=ALL)  # raises unless n - 1 <= m <= n(n-1)/2 and n <= 7
-    return _dominance_reports(n, as_alpha(alpha))[m - (n - 1)]
+    return verify_threshold_dominance([n], [alpha])[m - (n - 1)]
 
 
 def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
-    """``threshold_dominance_report`` for every connected (n, m), ordered by n, m then alpha: one ALL scan per (n, alpha), no walk."""
-    scans = ([_dominance_reports(n, as_alpha(alpha)) for alpha in alphas] for n in n_values)
-    return [report for scan in scans for row in zip(*scan) for report in row]
+    """Reports of every connected ALL family (n, m), ordered by n, m then alpha: one ALL scan per (n, alpha), no walk.
 
-
-def _dominance_reports(n: int, alpha: Fraction) -> tuple[VerificationReport, ...]:
-    """The dominance reports of order n, by m, from one ALL scan: every maximizer threshold; a key's label counts are its degrees.
-
-    That alone decides Lemma 2.4: connected threshold graphs are members of the ALL family, so a threshold ALL
-    maximizer is also the threshold maximum.  A threshold walk's maximum could differ from the ALL scan's only by
-    the kernels' certified residuals, each radius within sqrt(n) * 1e-11 of the true one, far inside the tie window.
+    ``matches_theorem`` is True when every maximizer is threshold; a key's label counts are its degrees.  That alone
+    decides Lemma 2.4: connected threshold graphs are members of the ALL family, so a threshold ALL maximizer is also
+    the threshold maximum.  A threshold walk's maximum could differ from the ALL scan's only by the kernels' certified
+    residuals, each radius within sqrt(n) * 1e-11 of the true one, far inside the tie window.
     """
-    return tuple(
-        replace(report, matches_theorem=all(is_threshold_degrees(map(key.count, "123456789"[:n]))
-                                            for key in report.maximizer_set))
-        for report in _all_reports(n, alpha).values()
-    )
+    reports = []
+    for n in n_values:
+        scans = [_all_reports(n, as_alpha(alpha)).values() for alpha in alphas]
+        for report in (report for row in zip(*scans) for report in row):
+            threshold = all(is_threshold_degrees(map(key.count, "123456789"[:n])) for key in report.maximizer_set)
+            reports.append(replace(report, matches_theorem=threshold))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
 @lru_cache(maxsize=1024)
 def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
     """g's row of ``family_spectra``, certified on its own, in stepwise labels."""
-    dom = [sym == DOMINATING for sym in g.creation]
+    dom = [sym == DOMINATING for sym in g.text]
     if 1 << (g.n - 1) <= FAMILY_CHUNK:
         table, row = _order_table(g.n, alpha), sum(d << j for j, d in enumerate(dom[1:]))
     else:

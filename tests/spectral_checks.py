@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from quasistar.graphs import LabeledGraph, is_threshold
+from graph_builders import is_threshold
+from quasistar.graphs import LabeledGraph
 from quasistar.spectra import HALF, RHO_COMPARE_TOL, spectral_radius
 
 

@@ -6,7 +6,6 @@ two spectral radii, 1e-10 monotonicity slack, 1e-8 for identity residuals and
 quotient/full eigenvalue agreement.
 """
 
-import itertools
 import time
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from quasistar.graphs import (
-    from_creation_sequence,
     l_graph,
     quasi_star,
     tilde_s,
@@ -31,6 +29,7 @@ from quasistar.search import (
 )
 from quasistar.spectra import alpha_matrix, threshold_spectrum
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
+from graph_builders import connected_threshold_graphs
 from spectral_checks import char_poly, perron_order_check, q_upper_bound, signless_laplacian_radius
 
 HALF = Fraction(1, 2)
@@ -43,13 +42,6 @@ EQ_TOL = 1e-8
 def announce(number: int, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"CRITERION {number} {status}: {detail}")
-
-
-def connected_threshold_hosts(max_n):
-    from quasistar.graphs import ISOLATED, DOMINATING
-    for n in range(2, max_n + 1):
-        for tail in itertools.product((ISOLATED, DOMINATING), repeat=n - 2):
-            yield from_creation_sequence((ISOLATED,) + tail + (DOMINATING,))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +170,7 @@ def _check_q(g, lower, coeffs, formula, partition):
 
 def test_criterion_5_rewiring_property_suite():
     start = time.perf_counter()
-    hosts = list(connected_threshold_hosts(10))
+    hosts = list(connected_threshold_graphs(10))
     assert len(hosts) == sum(2 ** (n - 2) for n in range(2, 11))
 
     instances = 0
@@ -257,7 +249,7 @@ def test_criterion_6_threshold_dominance():
 def test_criterion_7_perron_structure_and_bound():
     start = time.perf_counter()
     order_checks = 0
-    for host in connected_threshold_hosts(10):
+    for host in connected_threshold_graphs(10):
         lab = to_labeled(host)
         for alpha in SWEEP_ALPHAS:
             assert perron_order_check(lab, alpha) == [], (host.text, alpha)

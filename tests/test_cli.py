@@ -12,7 +12,7 @@ import pytest
 
 import quasistar
 from quasistar.cli import main
-from quasistar.graphs import format_edge_list, from_creation_sequence, quasi_star, to_labeled
+from quasistar.graphs import ThresholdGraph, format_edge_list, l_graph, quasi_star, to_labeled
 from quasistar.spectra import spectral_radius, threshold_spectrum
 
 
@@ -108,7 +108,7 @@ def test_rho_of_a_creation_sequence_is_the_threshold_kernel_row(capsys, alpha):
         code, out, _ = run(capsys, "rho", text, alpha)
         assert code == 0, text
         fields = dict(line.split("=", 1) for line in out.splitlines())
-        assert fields == rho_fields(threshold_spectrum(from_creation_sequence(text), alpha)), (text, alpha)
+        assert fields == rho_fields(threshold_spectrum(ThresholdGraph(text), alpha)), (text, alpha)
 
 
 def test_rho_prints_the_radius_that_verify_reports(capsys):
@@ -139,6 +139,23 @@ def test_unusable_alpha_is_usage_error(capsys, argv, alpha):
 def test_rho_bad_graph_token(capsys):
     code, _, err = run(capsys, "rho", "no-such-file.txt", "1/2")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["rho", "1/2"], ["transform", "ROW 7 2 5 3 1"], ["audit", "--r", "2"]])
+def test_file_named_like_a_sequence_is_read_by_its_dot_path(capsys, monkeypatch, tmp_path, argv):
+    # "did" is over {I, D}, so it is read as a creation sequence and fails as
+    # one; the error says so and that "./did" reads the edge-list file.
+    monkeypatch.chdir(tmp_path)
+    Path("did").write_text(format_edge_list(to_labeled(l_graph(7, 12))))
+    verb, rest = argv[0], argv[1:]
+    code, out, err = run(capsys, verb, "did", *rest)
+    assert code == 2 and out == ""
+    assert err == ("error: 'did' was read as a creation sequence: first creation symbol must be ISOLATED; "
+                   "to read an edge-list file of that name, write ./did\n")
+    code, out, err = run(capsys, verb, "./did", *rest)
+    assert code == 0 and err == ""
+    if verb != "rho":  # a threshold file is canonicalized, so it prints what its sequence prints
+        assert out == run(capsys, verb, l_graph(7, 12).text, *rest)[1]
 
 
 def test_nonconvergence_maps_to_exit_3(capsys, monkeypatch, tmp_path, cold_spectrum_cache):

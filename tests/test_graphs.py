@@ -1,5 +1,6 @@
 """Threshold-graph representation, recognition, and named constructions."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -10,12 +11,10 @@ from quasistar.graphs import (
     ISOLATED,
     LabeledGraph,
     NotThresholdError,
+    ThresholdGraph,
     format_edge_list,
-    from_creation_sequence,
     from_degree_sequence,
-    is_threshold,
     l_graph,
-    parse_creation,
     parse_edge_list,
     quasi_star,
     split_params,
@@ -23,6 +22,7 @@ from quasistar.graphs import (
     tilde_s,
     to_labeled,
 )
+from graph_builders import complete_graph, graph_union, is_threshold, threshold_graphs
 
 
 def edges(g: LabeledGraph):
@@ -42,25 +42,10 @@ def empty_graph(n: int) -> LabeledGraph:
     return LabeledGraph.from_edges(n, [])
 
 
-def complete_graph(n: int) -> LabeledGraph:
-    return LabeledGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
-
-
-def graph_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Disjoint union; vertices of g2 are shifted by g1.n."""
-    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
-    return LabeledGraph.from_edges(g1.n + g2.n, list(g1.edges) + shifted)
-
-
 def graph_join(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """Join: disjoint union plus all edges between the two sides."""
     across = [(u, g1.n + v) for u in range(1, g1.n + 1) for v in range(1, g2.n + 1)]
     return LabeledGraph.from_edges(g1.n + g2.n, list(graph_union(g1, g2).edges) + across)
-
-
-def all_creation_sequences(n):
-    for tail in itertools.product((ISOLATED, DOMINATING), repeat=n - 1):
-        yield from_creation_sequence((ISOLATED,) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +53,12 @@ def all_creation_sequences(n):
 # ---------------------------------------------------------------------------
 
 def test_single_vertex():
-    g = from_creation_sequence("I")
+    g = ThresholdGraph("I")
     assert g.n == 1 and g.m == 0 and g.is_connected
 
 
 def test_k5_plus_isolated_vertex():
-    g = from_creation_sequence("IDDDDI")
+    g = ThresholdGraph("IDDDDI")
     assert g.m == 10
     assert not g.is_connected
     assert g.degree_sequence() == (4, 4, 4, 4, 4, 0)
@@ -83,22 +68,24 @@ def test_k5_plus_isolated_vertex():
 
 
 def test_star_from_sequence():
-    g = from_creation_sequence("IIIIID")
+    g = ThresholdGraph("IIIIID")
     assert g.degree_sequence() == (5, 1, 1, 1, 1, 1)
 
 
 def test_creation_sequence_errors():
     with pytest.raises(ValueError):
-        from_creation_sequence("")
+        ThresholdGraph("")
     with pytest.raises(ValueError):
-        from_creation_sequence("DII")
+        ThresholdGraph("DII")
     with pytest.raises(ValueError):
-        from_creation_sequence("IXD")
+        ThresholdGraph("IXD")
+    with pytest.raises(TypeError):
+        ThresholdGraph(("I", "D"))  # a tuple of symbols is not a creation sequence
 
 
 def test_edge_count_matches_dominating_positions():
-    for g in all_creation_sequences(7):
-        expect = sum(i for i, s in enumerate(g.creation) if s == DOMINATING)
+    for g in threshold_graphs(7):
+        expect = sum(i for i, s in enumerate(g.text) if s == DOMINATING)
         assert g.m == expect == to_labeled(g).m
 
 
@@ -119,7 +106,7 @@ def test_to_labeled_quasi_star_6_10():
 
 
 def test_to_labeled_single_vertex():
-    assert edges(to_labeled(from_creation_sequence("I"))) == set()
+    assert edges(to_labeled(ThresholdGraph("I"))) == set()
 
 
 def is_stepwise(g: LabeledGraph) -> bool:
@@ -142,7 +129,7 @@ def is_stepwise(g: LabeledGraph) -> bool:
 
 
 def test_stepwise_property_all_n7():
-    for g in all_creation_sequences(7):
+    for g in threshold_graphs(7):
         lab = to_labeled(g)
         assert is_stepwise(lab)
         degs = lab.degrees()
@@ -155,7 +142,7 @@ def creation_index_labeling(g):
     order = sorted(range(g.n), key=lambda i: (-deg[i], -i))
     rank = {pos: r + 1 for r, pos in enumerate(order)}
     edges = []
-    for i, sym in enumerate(g.creation):
+    for i, sym in enumerate(g.text):
         if sym == DOMINATING:
             edges.extend((rank[i], rank[j]) for j in range(i))
     return LabeledGraph.from_edges(g.n, edges)
@@ -163,7 +150,7 @@ def creation_index_labeling(g):
 
 def test_stepwise_rows_match_labeled_bitrows():
     for n in range(1, 10):
-        for g in all_creation_sequences(n):
+        for g in threshold_graphs(n):
             reference = creation_index_labeling(g)
             assert list(g.stepwise_rows) == bitrows(reference)
             assert to_labeled(g) == reference
@@ -173,7 +160,7 @@ def test_stepwise_edge_iff_column_within_degree():
     # The lemma behind the rewiring corner-cell rule: in stepwise labels, (u, v) with
     # u < v is an edge iff u <= deg(v).  Every graph with n <= 10, connected or not.
     for n in range(1, 11):
-        for g in all_creation_sequences(n):
+        for g in threshold_graphs(n):
             rows, deg = g.stepwise_rows, (0,) + g.degree_sequence()
             for v in range(2, n + 1):
                 for u in range(1, v):
@@ -235,7 +222,7 @@ def test_degree_peel_matches_forbidden_subgraphs_on_all_graphs_n6():
 
 
 def test_every_threshold_graph_passes_all_recognizers():
-    for g in all_creation_sequences(7):
+    for g in threshold_graphs(7):
         lab = to_labeled(g)
         assert is_threshold(lab)
         assert is_threshold_by_forbidden_subgraphs(lab)
@@ -244,7 +231,7 @@ def test_every_threshold_graph_passes_all_recognizers():
 def test_threshold_from_labeled_is_invariant_under_relabeling():
     # Every labeling of every threshold graph with n <= 6, not only stepwise ones.
     for n in range(1, 7):
-        for g in all_creation_sequences(n):
+        for g in threshold_graphs(n):
             lab = to_labeled(g)
             for perm in itertools.permutations(range(1, n + 1)):
                 relabeled = LabeledGraph.from_edges(
@@ -262,7 +249,7 @@ def test_creation_sequences_are_canonical_and_distinct():
     # labeled graph recovers exactly the sequence it was built from.
     for n in range(1, 8):
         seen_degree_seqs = set()
-        for g in all_creation_sequences(max(n, 1)):
+        for g in threshold_graphs(max(n, 1)):
             assert threshold_from_labeled(to_labeled(g)) == g
             seen_degree_seqs.add(g.degree_sequence())
         assert len(seen_degree_seqs) == 2 ** (max(n, 1) - 1)
@@ -270,22 +257,22 @@ def test_creation_sequences_are_canonical_and_distinct():
 
 def test_connected_count_is_half():
     for n in range(2, 9):
-        graphs = list(all_creation_sequences(n))
+        graphs = list(threshold_graphs(n))
         connected = [g for g in graphs if g.is_connected]
         assert len(graphs) == 2 ** (n - 1)
         assert len(connected) == 2 ** (n - 2)
-        assert all(g.creation[-1] == DOMINATING for g in connected)
+        assert all(g.text[-1] == DOMINATING for g in connected)
 
 
 def test_from_degree_sequence_round_trip():
-    for g in all_creation_sequences(7):
+    for g in threshold_graphs(7):
         assert from_degree_sequence(g.degree_sequence()) == g
 
 
 def test_from_degree_sequence_examples():
     assert from_degree_sequence((5, 5, 2, 2, 2, 2)) == quasi_star(6, 9)
-    assert from_degree_sequence((4,) * 5) == from_creation_sequence("IDDDD")  # K_5
-    assert from_degree_sequence((2, 1, 1)) == from_creation_sequence("IID")  # P_3
+    assert from_degree_sequence((4,) * 5) == ThresholdGraph("IDDDD")  # K_5
+    assert from_degree_sequence((2, 1, 1)) == ThresholdGraph("IID")  # P_3
 
 
 def test_from_degree_sequence_failures_report_step():
@@ -358,7 +345,7 @@ def test_quasi_star_examples():
     k, a = sp.k, sp.a
     expected = sorted([8] * k + [k + a] + [k + 1] * a + [k] * (9 - a - k - 1), reverse=True)
     assert list(g.degree_sequence()) == expected
-    assert quasi_star(6, 15) == from_creation_sequence("IDDDDD")  # complete
+    assert quasi_star(6, 15) == ThresholdGraph("IDDDDD")  # complete
 
 
 def test_l_graph_examples():
@@ -407,7 +394,7 @@ def test_family_size_check_raises_outside_asserts(monkeypatch):
     # A builder that ends one dominating step short has too few edges; the
     # check must raise, not assert, so that it survives ``python -O``.
     build = graphs.ThresholdGraph
-    monkeypatch.setattr(graphs, "ThresholdGraph", lambda n, seq: build(n, seq[:-1] + (ISOLATED,)))
+    monkeypatch.setattr(graphs, "ThresholdGraph", lambda text: build(text[:-1] + ISOLATED))
     for family in (quasi_star, l_graph, tilde_s):
         with pytest.raises(RuntimeError, match="edges, not m=8"):
             family(6, 8)
@@ -426,12 +413,12 @@ def test_family_range_errors():
 
 def test_join_makes_star():
     g = graph_join(complete_graph(1), empty_graph(3))
-    assert threshold_from_labeled(g) == from_creation_sequence("IIID")
+    assert threshold_from_labeled(g) == ThresholdGraph("IIID")
 
 
 def test_union_k5_k1():
     g = graph_union(complete_graph(5), complete_graph(1))
-    assert threshold_from_labeled(g) == from_creation_sequence("IDDDDI")
+    assert threshold_from_labeled(g) == ThresholdGraph("IDDDDI")
 
 
 def test_join_builds_quasi_star_6_10():
@@ -460,5 +447,9 @@ def test_edge_list_parse_errors():
         parse_edge_list("2 2\n1 2")  # wrong edge count
 
 
-def test_parse_creation_text():
-    assert parse_creation("IDDDDI").text == "IDDDDI"
+def test_threshold_graph_is_its_creation_text():
+    g = ThresholdGraph("IDDDDI")
+    assert [f.name for f in dataclasses.fields(g)] == ["text"]
+    assert g.text == "IDDDDI" and g.n == 6
+    assert g == ThresholdGraph("IDDDDI") and hash(g) == hash(ThresholdGraph("IDDDDI"))
+    assert g != ThresholdGraph("IDDDDD")

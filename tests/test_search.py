@@ -12,8 +12,7 @@ import pytest
 
 from quasistar.graphs import (
     LabeledGraph,
-    from_creation_sequence,
-    is_threshold,
+    ThresholdGraph,
     quasi_star,
     tilde_s,
     to_labeled,
@@ -44,6 +43,7 @@ from quasistar.spectra import (
     same_radius,
     spectral_radius,
 )
+from graph_builders import connected_threshold_graphs, is_threshold, threshold_graphs
 
 HALF = Fraction(1, 2)
 
@@ -114,11 +114,7 @@ def test_enumerate_threshold_4_3_connected():
     # connected (the triangle-plus-isolated-vertex variant is disconnected).
     graphs = list(enumerate_threshold(FamilySpec(4, 3)))
     assert [g.text for g in graphs] == ["IIID"]
-    brute = [
-        g for g in (from_creation_sequence("I" + "".join(t))
-                    for t in __import__("itertools").product("ID", repeat=3))
-        if g.m == 3 and g.is_connected
-    ]
+    brute = [g for g in threshold_graphs(4) if g.m == 3 and g.is_connected]
     assert len(brute) == 1
 
 
@@ -141,7 +137,7 @@ def test_enumerate_threshold_no_duplicates():
     for m in range(5, 16):
         texts = [g.text for g in enumerate_threshold(FamilySpec(6, m))]
         assert len(texts) == len(set(texts))
-        assert all(from_creation_sequence(t).m == m for t in texts)
+        assert all(ThresholdGraph(t).m == m for t in texts)
 
 
 def test_enumerate_threshold_single_vertex():
@@ -456,7 +452,7 @@ def test_argmax_6_8_just_above_half_is_unique():
 
 def test_argmax_over_all_graphs_universe():
     report = argmax_rho(FamilySpec(6, 10, connected_only=False, universe=ALL), HALF)
-    k5_k1 = edge_key(to_labeled(from_creation_sequence("IDDDDI")))
+    k5_k1 = edge_key(to_labeled(ThresholdGraph("IDDDDI")))
     assert report.maximizer_set == (k5_k1,)
 
 
@@ -849,7 +845,7 @@ def test_audit_quasi_star_6_10():
 
 
 def test_audit_complete_graph_flagged():
-    report = audit(from_creation_sequence("IDDDDD"), r=2)
+    report = audit(ThresholdGraph("IDDDDD"), r=2)
     assert report.complete and report.kappa == 5
     assert report.delta == {} and report.identity_ok is None
 
@@ -864,15 +860,12 @@ def test_audit_tilde_s_24_48():
 
 
 def test_audit_identity_on_all_connected_non_complete():
-    import itertools
-    for n in range(2, 9):
-        for tail in itertools.product("ID", repeat=n - 2):
-            g = from_creation_sequence("I" + "".join(tail) + "D")
-            if g.m == n * (n - 1) // 2:
-                continue
-            assert audit(g, r=1).identity_ok
+    for g in connected_threshold_graphs(8):
+        if g.m == g.n * (g.n - 1) // 2:
+            continue
+        assert audit(g, r=1).identity_ok
 
 
 def test_audit_rejects_disconnected():
     with pytest.raises(ValueError):
-        audit(from_creation_sequence("IDDDDI"), r=2)
+        audit(ThresholdGraph("IDDDDI"), r=2)

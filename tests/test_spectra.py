@@ -8,7 +8,7 @@ import pytest
 
 from quasistar.graphs import (
     LabeledGraph,
-    from_creation_sequence,
+    ThresholdGraph,
     quasi_star,
     tilde_s,
     to_labeled,
@@ -29,26 +29,11 @@ from quasistar.spectra import (
     spectral_radius,
     threshold_spectrum,
 )
+from graph_builders import complete_graph, graph_union, threshold_graphs
 from spectral_checks import char_poly, perron_order_check, q_upper_bound, signless_laplacian_radius
 
 HALF = Fraction(1, 2)
 ALPHAS = [Fraction(0), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(9, 10)]
-
-
-def all_threshold(n):
-    from quasistar.graphs import ISOLATED, DOMINATING
-    for tail in itertools.product((ISOLATED, DOMINATING), repeat=n - 1):
-        yield from_creation_sequence((ISOLATED,) + tail)
-
-
-def complete_graph(n: int) -> LabeledGraph:
-    return LabeledGraph.from_edges(n, itertools.combinations(range(1, n + 1), 2))
-
-
-def graph_union(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Disjoint union; vertices of g2 are shifted by g1.n."""
-    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
-    return LabeledGraph.from_edges(g1.n + g2.n, list(g1.edges) + shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -125,19 +110,19 @@ def test_complete_graph_radius_is_n_minus_1():
 
 def test_star_adjacency_radius():
     # K_{1,4} at alpha = 0: radius sqrt(4) = 2.
-    star = to_labeled(from_creation_sequence("IIIID"))
+    star = to_labeled(ThresholdGraph("IIIID"))
     assert spectral_radius(star, 0).rho == pytest.approx(2.0, abs=1e-10)
 
 
 def test_star_half_radius_is_n_over_2():
     for n in range(4, 11):
-        star = to_labeled(from_creation_sequence("I" * (n - 1) + "D"))
+        star = to_labeled(ThresholdGraph("I" * (n - 1) + "D"))
         assert spectral_radius(star, HALF).rho == pytest.approx(n / 2, abs=1e-9)
 
 
 def test_dense_radius_matches_eigvalsh():
     # Independent oracle: symmetric dense eigensolver on the same matrices.
-    for g in all_threshold(6):
+    for g in threshold_graphs(6):
         lab = to_labeled(g)
         for alpha in ALPHAS:
             expect = float(np.max(np.linalg.eigvalsh(alpha_matrix(lab, alpha))))
@@ -161,7 +146,7 @@ def test_disconnected_radius_is_max_over_components():
     spec = spectral_radius(g, HALF)
     assert spec.rho == pytest.approx(4.0, abs=1e-9)
     assert spec.perron[5] == 0.0  # isolated vertex outside the extremal component
-    star3 = to_labeled(from_creation_sequence("IIID"))
+    star3 = to_labeled(ThresholdGraph("IIID"))
     g2 = graph_union(complete_graph(3), star3)
     for alpha in ALPHAS:
         whole = spectral_radius(g2, alpha).rho
@@ -257,7 +242,7 @@ def lone_quotient_rho(g, alpha) -> float:
     """Reference: the per-graph run-quotient solve that the batched kernel replaced."""
     a = float(alpha)
     runs = []  # [symbol, size] over vertices 2..n
-    for sym in g.creation[1:]:
+    for sym in g.text[1:]:
         if runs and runs[-1][0] == sym:
             runs[-1][1] += 1
         else:
@@ -281,8 +266,8 @@ def lone_quotient_rho(g, alpha) -> float:
 @pytest.mark.parametrize("n", range(1, 12))
 def test_quotient_kernel_matches_dense_eigh(n):
     # Every threshold graph: connected, with isolated vertices, edgeless, n = 1.
-    graphs = list(all_threshold(n))
-    dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
+    graphs = list(threshold_graphs(n))
+    dom = np.array([[sym == "D" for sym in g.text] for g in graphs])
     for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(9, 10), Fraction(99, 100)):
         rho, _, residual = family_spectra(dom, alpha)
         assert np.all(residual <= RESIDUAL_TOL)
@@ -306,8 +291,8 @@ def test_inertia_count_matches_eigvalsh():
     # Every threshold graph with n <= 9, probed at each of its eigenvalues and
     # 1e-6 to either side; row k of graph i's block is probed at its k-th eigenvalue.
     for n in range(1, 10):
-        graphs = list(all_threshold(n))
-        dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
+        graphs = list(threshold_graphs(n))
+        dom = np.array([[sym == "D" for sym in g.text] for g in graphs])
         adjacency = np.array([alpha_matrix(to_labeled(g), 0) for g in graphs]) > 0
         for alpha in (Fraction(0), HALF, Fraction(3, 4), Fraction(99, 100)):
             spectrum = np.linalg.eigvalsh(alpha_matrices(adjacency, alpha))
@@ -341,7 +326,7 @@ def test_pivot_test_matches_eigvalsh(alpha):
 
 def assert_served_spectrum_is_batch_row(graphs, alpha):
     """A served ``threshold_spectrum`` equals its row of a separate ``family_spectra`` call, bit for bit."""
-    dom = np.array([[sym == "D" for sym in g.creation] for g in graphs])
+    dom = np.array([[sym == "D" for sym in g.text] for g in graphs])
     rho, x, residual = family_spectra(dom, alpha)
     for g, rho_row, x_row, residual_row in zip(graphs, rho, x, residual):
         served = threshold_spectrum(g, alpha)
@@ -358,7 +343,7 @@ def test_one_graph_solve_matches_batch_row(alpha, cold_spectrum_cache):
     # Every threshold graph with n <= 12: connected, with isolated vertices,
     # edgeless, n = 1; whole-order tables up to n = 10, batches of one row above.
     for n in range(1, 13):
-        assert_served_spectrum_is_batch_row(list(all_threshold(n)), alpha)
+        assert_served_spectrum_is_batch_row(list(threshold_graphs(n)), alpha)
 
 
 def test_one_graph_solve_matches_batch_row_at_large_n(cold_spectrum_cache):
@@ -377,7 +362,7 @@ def test_one_kernel_call_per_order(monkeypatch, cold_spectrum_cache):
 
     monkeypatch.setattr(spectra, "_family_rows", counted)
     specs = [spec for kind in ("BASIC", "ROW", "COL") for spec in candidate_specs(9, kind, 1)]
-    moves = [(g, spec) for g in all_threshold(9) if g.is_connected for spec in specs if validate(g, spec)]
+    moves = [(g, spec) for g in threshold_graphs(9) if g.is_connected for spec in specs if validate(g, spec)]
     for g, spec in moves:
         certify(g, spec, Fraction(3, 5))
     assert len(moves) > 100
@@ -412,7 +397,7 @@ def test_q_upper_bound_values():
 
 
 def test_q_bound_holds_on_connected_threshold_graphs():
-    for g in all_threshold(7):
+    for g in threshold_graphs(7):
         if not g.is_connected:
             continue
         q = signless_laplacian_radius(g)
@@ -457,7 +442,7 @@ def test_perron_order_check_complete_and_star():
         assert perron_order_check(complete_graph(6), alpha) == []
         x = spectral_radius(complete_graph(6), alpha).perron
         assert np.ptp(x) <= 1e-9
-    star = to_labeled(from_creation_sequence("IIIIID"))
+    star = to_labeled(ThresholdGraph("IIIIID"))
     assert perron_order_check(star, HALF) == []
     x = spectral_radius(star, HALF).perron
     assert x[0] > max(x[1:]) + 1e-6  # center entry strictly largest

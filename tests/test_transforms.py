@@ -10,9 +10,8 @@ import pytest
 from quasistar import spectra, transforms
 from quasistar.graphs import (
     LabeledGraph,
-    from_creation_sequence,
+    ThresholdGraph,
     from_degree_sequence,
-    is_threshold,
     l_graph,
     quasi_star,
     stepwise_row,
@@ -31,14 +30,9 @@ from quasistar.transforms import (
     validate,
 )
 
+from graph_builders import connected_threshold_graphs, is_threshold, threshold_graphs
+
 HALF = Fraction(1, 2)
-
-
-def connected_threshold_graphs(max_n):
-    from quasistar.graphs import ISOLATED, DOMINATING
-    for n in range(2, max_n + 1):
-        for tail in itertools.product((ISOLATED, DOMINATING), repeat=n - 2):
-            yield from_creation_sequence((ISOLATED,) + tail + (DOMINATING,))
 
 
 def valid_instances(max_n, dk=1, kinds=("BASIC", "ROW", "COL")):
@@ -222,7 +216,7 @@ def validate_by_clauses(g, spec):
 
 
 def test_complete_graph_admits_no_rewiring():
-    k7 = from_creation_sequence("IDDDDDD")
+    k7 = ThresholdGraph("IDDDDDD")
     for kind in ("BASIC", "ROW", "COL"):
         for spec in candidate_specs(7, kind):
             assert not validate(k7, spec)
@@ -291,8 +285,7 @@ def test_bitboard_cell_tests_match_row_rule():
     pairs = valid = 0
     for n in range(4, 10):
         specs = [spec for kind in ("BASIC", "ROW", "COL") for dk in (1, 2) for spec in candidate_specs(n, kind, dk)]
-        for tail in itertools.product("ID", repeat=n - 1):
-            g = from_creation_sequence(("I",) + tail)
+        for g in threshold_graphs(n):
             for spec in specs:
                 expected = validate_by_rows(g, spec)
                 assert validate(g, spec) is expected, (g.text, spec.text)
@@ -307,7 +300,7 @@ def test_validate_index_out_of_range():
 
 
 def test_validate_rejects_disconnected_host():
-    host = from_creation_sequence("IDDDDI")  # K_5 u K_1
+    host = ThresholdGraph("IDDDDI")  # K_5 u K_1
     spec = TransformSpec("BASIC", 5, 2, 4, 3)
     assert validate(host, spec) is False
     assert rejection_reason(host, spec) == "host graph is not connected"
@@ -315,7 +308,7 @@ def test_validate_rejects_disconnected_host():
 
 def test_apply_refuses_invalid_spec():
     with pytest.raises(InvalidTransformError):
-        apply_transform(from_creation_sequence("IDDDDDD"), TransformSpec("BASIC", 7, 2, 4, 3))
+        apply_transform(ThresholdGraph("IDDDDDD"), TransformSpec("BASIC", 7, 2, 4, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +428,7 @@ def test_double_offset_rule_strict():
 @pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: same_radius ties radii within the absolute 1e-9 window")
 def test_strict_move_near_alpha_one_is_not_observed_equal():
     # This move takes S~(13,15) to S(13,15) and raises the radius by about 7.6e-10, inside the window.
-    cert = certify(from_creation_sequence("IDDIIIIIIIIID"), TransformSpec.parse("BASIC 5 2 4 3"), Fraction(999, 1000))
+    cert = certify(ThresholdGraph("IDDIIIIIIIIID"), TransformSpec.parse("BASIC 5 2 4 3"), Fraction(999, 1000))
     assert cert.observed_equality is False
 
 
@@ -478,7 +471,7 @@ def test_certificates_do_not_depend_on_call_order_or_cache_state():
 
 def test_certify_rejects_invalid_spec():
     with pytest.raises(InvalidTransformError):
-        certify(from_creation_sequence("IDDDDDD"), TransformSpec("BASIC", 7, 2, 4, 3), HALF)
+        certify(ThresholdGraph("IDDDDDD"), TransformSpec("BASIC", 7, 2, 4, 3), HALF)
 
 
 # ---------------------------------------------------------------------------
