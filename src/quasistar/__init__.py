@@ -23,12 +23,10 @@ from .graphs import (
     ISOLATED,
     LabeledGraph,
     NotThresholdError,
-    SplitParams,
     ThresholdGraph,
     from_degree_sequence,
     l_graph,
     quasi_star,
-    split_params,
     threshold_from_labeled,
     tilde_s,
     to_labeled,

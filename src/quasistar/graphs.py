@@ -33,11 +33,13 @@ Families provided here, for n vertices and m edges:
 
 * ``quasi_star``  S(n,m)  = K_k v (K_{1,a} u (n-a-k-1) K_1), the join of a
   clique with a star plus isolated vertices, where k is the largest integer
-  with m >= sum_{i=1..k} (n-i) and a is the remainder.
+  below n with m >= sum_{i=1..k} (n-i) and a is the remainder (the clique
+  split).
 * ``l_graph``     L(n,m)  = the "clique behind one universal vertex" family
-  parametrised by kbar, abar (see ``split_params``).
+  parametrised by kbar, abar, which ``l_graph`` works out itself.
 * ``tilde_s``     S~(n,m) = K_k v (K_3 u (n-k-3) K_1), defined only when
-  m = k*n - k(k+1)/2 + 3 for an integer k >= 0 with n-k-3 >= 0.
+  m = k*n - k(k+1)/2 + 3 for an integer k >= 0 with n-k-3 >= 0: S's clique
+  split of m - 3 with no remainder.
 """
 
 from __future__ import annotations
@@ -184,10 +186,6 @@ class LabeledGraph:
             comps.append(sorted(comp))
         return comps
 
-    @property
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
 
 # ---------------------------------------------------------------------------
 # Stepwise labeling, and recognition by the degree peel
@@ -256,25 +254,8 @@ def is_threshold_degrees(degrees) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Split parameters and named families
+# Named families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitParams:
-    """The (k, a) and (kbar, abar) decompositions of an (n, m) pair.
-
-    k is the largest integer with m >= sum_{i=1..k} (n-i), a the remainder;
-    kbar is the largest integer with m-n+1 >= sum_{i=1..kbar-1} i, abar the
-    remainder.
-    """
-
-    n: int
-    m: int
-    k: int
-    a: int
-    kbar: int
-    abar: int
-
 
 def _check_size(n: int, m: int) -> None:
     if n < 1:
@@ -283,22 +264,13 @@ def _check_size(n: int, m: int) -> None:
         raise ValueError(f"m={m} out of range [{n - 1}, {n * (n - 1) // 2}] for n={n}")
 
 
-def split_params(n: int, m: int) -> SplitParams:
-    _check_size(n, m)
-    k = 0
-    used = 0
+def _clique_split(n: int, m: int) -> tuple[int, int]:
+    """(k, a): k is the largest integer below n with m >= sum_{i=1..k} (n-i), and a is the remainder."""
+    k = used = 0
     while k < n - 1 and m >= used + (n - (k + 1)):
         k += 1
         used += n - k
-    a = m - used
-    rest = m - n + 1
-    kbar = 1
-    usedb = 0
-    while rest >= usedb + kbar:
-        usedb += kbar
-        kbar += 1
-    abar = rest - usedb
-    return SplitParams(n, m, k, a, kbar, abar)
+    return k, m - used
 
 
 def _with_edges(g: ThresholdGraph, m: int) -> ThresholdGraph:
@@ -310,8 +282,8 @@ def _with_edges(g: ThresholdGraph, m: int) -> ThresholdGraph:
 
 def quasi_star(n: int, m: int) -> ThresholdGraph:
     """S(n,m): a k-clique joined to a star K_{1,a} plus isolated vertices."""
-    sp = split_params(n, m)
-    k, a = sp.k, sp.a
+    _check_size(n, m)
+    k, a = _clique_split(n, m)
     tail = n - a - k - 1
     if a > 0:
         text = "I" * a + "D" + "I" * tail + "D" * k
@@ -321,11 +293,19 @@ def quasi_star(n: int, m: int) -> ThresholdGraph:
 
 
 def l_graph(n: int, m: int) -> ThresholdGraph:
-    """L(n,m): one universal vertex over a clique-plus-pendant arrangement."""
-    sp = split_params(n, m)
+    """L(n,m): one universal vertex over a clique-plus-pendant arrangement.
+
+    kbar is the largest integer with m-n+1 >= sum_{i=1..kbar-1} i, and abar
+    the remainder: behind the universal vertex sit a kbar-clique, one vertex
+    joined to abar of its vertices (when abar > 0), and isolated vertices.
+    """
+    _check_size(n, m)
     if n == 1:
         return ThresholdGraph("I")
-    kb, ab = sp.kbar, sp.abar
+    kb, ab = 1, m - n + 1
+    while ab >= kb:
+        ab -= kb
+        kb += 1
     if ab == 0:
         text = "I" + "D" * (kb - 1) + "I" * (n - kb - 1) + "D"
     else:
@@ -336,18 +316,16 @@ def l_graph(n: int, m: int) -> ThresholdGraph:
 def tilde_s(n: int, m: int) -> ThresholdGraph:
     """S~(n,m) = K_k v (K_3 u (n-k-3) K_1), where m = k*n - k(k+1)/2 + 3.
 
-    Defined only when such an integer k >= 0 with n-k-3 >= 0 exists; raises
-    ValueError otherwise.  Connected iff k >= 1.
+    Defined only when such an integer k >= 0 with n-k-3 >= 0 exists, that is
+    when S's clique split of m - 3 leaves no remainder; raises ValueError
+    otherwise.  Connected iff k >= 1.
     """
     if n < 3:
         raise ValueError(f"tilde-S requires n >= 3, got n={n}")
-    for k in range(0, n - 2):
-        mk = k * n - k * (k + 1) // 2 + 3
-        if mk == m:
-            return _with_edges(ThresholdGraph("IDD" + "I" * (n - k - 3) + "D" * k), m)
-        if mk > m:
-            break
-    raise ValueError(f"tilde-S is undefined for n={n}, m={m}: m != k*n - k(k+1)/2 + 3 for any k")
+    k, a = _clique_split(n, m - 3)
+    if a != 0 or k > n - 3:
+        raise ValueError(f"tilde-S is undefined for n={n}, m={m}: m != k*n - k(k+1)/2 + 3 for any k")
+    return _with_edges(ThresholdGraph("IDD" + "I" * (n - k - 3) + "D" * k), m)
 
 
 # ---------------------------------------------------------------------------

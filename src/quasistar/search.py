@@ -18,11 +18,12 @@ orderly generation from K_n down to half the possible edges, and below that
 as complements; the canonical form of an edge-subset bitmask is its minimum
 over all vertex permutations, one float32 product of its edge bits with a
 precomputed permutation/weight table, after a test against the transpositions
-alone.  Repeated boolean squaring marks each order's connected classes.  Per
-(n, alpha) one ``dense_spectra`` call solves each ``ALL`` family's seeds, its
-classes of largest Rayleigh quotient at the degree vector, and one more the
-classes that ``definite_above`` does not prove below the family's x;
-disconnected ones (only without ``connected_only``) go through ``spectral_radius``.
+alone.  Repeated boolean squaring marks each order's connected classes.  An
+``ALL`` scan takes families of one order and reads only their edge counts'
+classes: one ``dense_spectra`` call solves each family's seeds, its classes of
+largest Rayleigh quotient at the degree vector, and one more the classes that
+``definite_above`` does not prove below the family's x; disconnected ones
+(only without ``connected_only``) go through ``spectral_radius``.
 
 One reduction per scan keeps each family's maximizers, tie gap, near-tie
 warning and best non-maximizer, whose radius less 1e-6 is the scan's x.  The
@@ -299,11 +300,8 @@ class _Reduction:
 
 
 def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
-    """Scan the family for its maximizers at alpha; an ALL family is read from one solve of its whole order."""
-    alpha = as_alpha(alpha)
-    if family.universe == THRESHOLD:
-        return threshold_argmax([family], alpha)[0]
-    return _all_reports(family.n, alpha, family.connected_only)[family.m]
+    """Scan the family for its maximizers at alpha."""
+    return (threshold_argmax if family.universe == THRESHOLD else _all_reports)([family], as_alpha(alpha))[0]
 
 
 def _subset_counts(top: int, most: int) -> np.ndarray:
@@ -425,32 +423,36 @@ def threshold_argmax(families, alpha) -> list[VerificationReport]:
     return list(reduction.reports(families, alpha, lambda row: "".join(np.where(row, DOMINATING, ISOLATED))))
 
 
-def _all_reports(n: int, alpha: Fraction, connected_only: bool = True) -> dict[int, VerificationReport]:
-    """Reports of the ALL families of order n, by m: disconnected classes by ``spectral_radius``, connected ones pruned.
+def _all_reports(families, alpha: Fraction) -> list[VerificationReport]:
+    """Reports of ALL families of one order, in order: disconnected classes by ``spectral_radius``, connected ones pruned.
 
-    Each family's ``_SEEDS`` connected classes of largest Rayleigh quotient at
-    the degree vector, a lower bound on rho, are solved first; one more
-    ``dense_spectra`` call solves the classes that ``definite_above`` does not
-    prove below their family's x (``_Reduction.proved_below``).
+    Only the classes with the families' edge counts are read.  Each family's
+    ``_SEEDS`` connected classes of largest Rayleigh quotient at the degree
+    vector, a lower bound on rho, are solved first; one more ``dense_spectra``
+    call solves the classes that ``definite_above`` does not prove below their
+    family's x (``_Reduction.proved_below``).
     """
+    n = families[0].n
     masks, connected, starts = _order_classes(n)
-    ms = range((n - 1) * connected_only, len(starts) - 1)
-    reduction, fam = _Reduction(len(ms)), np.repeat(np.arange(len(starts) - 1) - ms.start, np.diff(starts))
-    loose = np.flatnonzero(~connected & (not connected_only))
-    radii = [spectral_radius(_labeled_from_mask(int(masks[i]), n), alpha).rho for i in loose.tolist()]
-    reduction.add(masks[loose], np.array(radii), fam[loose])  # a family index is m - ms.start
-    linked = np.flatnonzero(connected)
-    adj, home = _adjacency(masks[linked], n), fam[linked]  # home ascends: classes come by edge count
+    spans = [range(starts[f.m], starts[f.m + 1]) for f in families]
+    fam = np.repeat(np.arange(len(families)), [len(span) for span in spans])  # ascends: families come in order
+    members = [i for span in spans for i in span]
+    masks, connected = masks[members], connected[members]
+    reduction = _Reduction(len(families))
+    loose = ~connected & ~np.array([f.connected_only for f in families])[fam]
+    radii = [spectral_radius(_labeled_from_mask(mask, n), alpha).rho for mask in masks[loose].tolist()]
+    reduction.add(masks[loose], np.array(radii), fam[loose])
+    masks, home = masks[connected], fam[connected]
+    adj = _adjacency(masks, n)
     mats, deg = alpha_matrices(adj, alpha), adj.sum(axis=2)
     lower = np.einsum("bi,bij,bj->b", deg, mats, deg) / np.maximum(np.einsum("bi,bi->b", deg, deg), 1)
     order = np.lexsort((-lower, home))  # by family, then by descending lower bound
-    seed = np.zeros(len(linked), dtype=bool)
+    seed = np.zeros(len(masks), dtype=bool)
     seed[order[np.arange(len(order)) - np.searchsorted(home, home) < _SEEDS]] = True
-    reduction.add(masks[linked[seed]], dense_spectra(mats[seed])[0], home[seed])
+    reduction.add(masks[seed], dense_spectra(mats[seed])[0], home[seed])
     rest = ~seed & ~reduction.proved_below(home, lambda x: definite_above(mats, x))
-    reduction.add(masks[linked[rest]], dense_spectra(mats[rest])[0], home[rest])
-    families = [FamilySpec(n, m, connected_only, ALL) for m in ms]
-    return dict(zip(ms, reduction.reports(families, alpha, lambda mask: _mask_key(int(mask), n))))
+    reduction.add(masks[rest], dense_spectra(mats[rest])[0], home[rest])
+    return list(reduction.reports(families, alpha, lambda mask: _mask_key(int(mask), n)))
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:
@@ -560,7 +562,8 @@ def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
     """
     reports = []
     for n in n_values:
-        scans = [_all_reports(n, as_alpha(alpha)).values() for alpha in alphas]
+        families = [FamilySpec(n, m, universe=ALL) for m in range(n - 1, n * (n - 1) // 2 + 1)]
+        scans = [_all_reports(families, as_alpha(alpha)) for alpha in alphas]
         for report in (report for row in zip(*scans) for report in row):
             threshold = all(is_threshold_degrees(map(key.count, "123456789"[:n])) for key in report.maximizer_set)
             reports.append(replace(report, matches_theorem=threshold))

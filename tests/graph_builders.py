@@ -1,4 +1,4 @@
-"""Brute-force graph builders shared by the test modules, and ``is_threshold``, which only tests use."""
+"""Brute-force graph builders shared by the test modules, and two predicates on labeled graphs that only tests use."""
 
 import itertools
 
@@ -33,3 +33,8 @@ def is_threshold(g: LabeledGraph) -> bool:
     so any graph whose degrees peel is the threshold graph they describe.
     """
     return is_threshold_degrees(g.degrees())
+
+
+def is_connected(g: LabeledGraph) -> bool:
+    """True iff g has one connected component."""
+    return len(g.components()) == 1

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from graph_builders import is_threshold
+from graph_builders import is_connected, is_threshold
 from quasistar.graphs import LabeledGraph
 from quasistar.spectra import HALF, RHO_COMPARE_TOL, spectral_radius
 
@@ -42,7 +42,7 @@ def perron_order_check(g: LabeledGraph, alpha, tol: float = RHO_COMPARE_TOL):
     non-increasing along the degree-descending order).  An empty list means
     every check passed.
     """
-    if not g.is_connected:
+    if not is_connected(g):
         raise ValueError("perron_order_check requires a connected graph")
     spec = spectral_radius(g, alpha)
     x = spec.perron

@@ -374,6 +374,21 @@ def test_verify_stdout_matches_pinned_digest(capsys, sweep):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_DIGESTS[sweep]
 
 
+# sha256 of the default text stdout, the output users get and the only one that
+# prints warnings: every t42 record at n = 22 is followed by its outside-hypothesis line.
+PINNED_TEXT_DIGESTS = {
+    "t42 --r 3 --n 22 --alpha 1/2,3/4": ("84311f81dd591c506cc605a8995b29e7ce268d0d190460f4c985b4b52f2c1bbe", 76),
+    "t41 --n 4..8": ("2ee23de2464db354c4fb5bdcdf4ca7aa0fa76205fef395c29472ed6db9c48441", 60),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(PINNED_TEXT_DIGESTS))
+def test_verify_text_stdout_matches_pinned_digest(capsys, sweep):
+    code, out, err = run(capsys, "verify", *sweep.split())
+    assert code == 0 and err == ""
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == PINNED_TEXT_DIGESTS[sweep]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

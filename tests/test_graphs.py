@@ -17,7 +17,6 @@ from quasistar.graphs import (
     l_graph,
     parse_edge_list,
     quasi_star,
-    split_params,
     threshold_from_labeled,
     tilde_s,
     to_labeled,
@@ -304,33 +303,40 @@ def test_peel_accepts_exactly_the_threshold_sequences():
 # ---------------------------------------------------------------------------
 
 def test_split_params_examples():
-    sp = split_params(6, 10)
-    assert (sp.k, sp.a, sp.kbar, sp.abar) == (2, 1, 3, 2)
+    assert graphs._clique_split(6, 10) == (2, 1)
     for n in (5, 9, 30):
-        sp = split_params(n, n - 1)
-        assert (sp.k, sp.a) == (1, 0)
-        assert (sp.kbar, sp.abar) == (1, 0)
-    sp = split_params(6, 15)
-    assert (sp.k, sp.a) == (5, 0)
+        assert graphs._clique_split(n, n - 1) == (1, 0)
+        assert l_graph(n, n - 1).text == "I" * (n - 1) + "D"  # kbar = 1, abar = 0: the star
+    assert graphs._clique_split(6, 15) == (5, 0)
+    assert l_graph(6, 10).text == "IIDDID"  # kbar = 3, abar = 2
+    # tilde_s reads the split at m - 3, which may lie below n - 1.
+    assert graphs._clique_split(6, 0) == (0, 0)
+    assert graphs._clique_split(6, -2) == (0, -2)
 
 
 def test_split_params_reconstruction():
     for n in range(2, 12):
         for m in range(n - 1, n * (n - 1) // 2 + 1):
-            sp = split_params(n, m)
-            used = sum(n - i for i in range(1, sp.k + 1))
-            assert used + sp.a == m
-            assert 0 <= sp.abar <= sp.kbar - 1
-            assert sp.kbar * (sp.kbar - 1) // 2 + sp.abar == m - n + 1
-            if sp.a > 0:
-                assert sp.a < n - sp.k - 1
+            k, a = graphs._clique_split(n, m)
+            used = sum(n - i for i in range(1, k + 1))
+            assert used + a == m
+            if a > 0:
+                assert a < n - k - 1
+            kbar = max(j for j in range(1, n) if j * (j - 1) // 2 <= m - n + 1)
+            abar = m - n + 1 - kbar * (kbar - 1) // 2
+            assert 0 <= abar <= kbar - 1
+            # L(n,m): a universal vertex over a kbar-clique, one vertex joined to abar of it, and pendants.
+            extra = [abar + 1] if abar else []
+            expected = [n - 1] + [kbar + 1] * abar + [kbar] * (kbar - abar) + extra + [1] * (n - 1 - kbar - len(extra))
+            assert list(l_graph(n, m).degree_sequence()) == sorted(expected, reverse=True), (n, m)
 
 
 def test_split_params_range_errors():
-    with pytest.raises(ValueError):
-        split_params(6, 2)
-    with pytest.raises(ValueError):
-        split_params(6, 16)
+    for builder in (quasi_star, l_graph):
+        with pytest.raises(ValueError):
+            builder(6, 2)
+        with pytest.raises(ValueError):
+            builder(6, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +347,7 @@ def test_quasi_star_examples():
     assert quasi_star(6, 5).degree_sequence() == (5, 1, 1, 1, 1, 1)  # star
     # degree profile: k full vertices, star center k+a, a leaves k+1, rest k
     g = quasi_star(9, 23)
-    sp = split_params(9, 23)
-    k, a = sp.k, sp.a
+    k, a = graphs._clique_split(9, 23)
     expected = sorted([8] * k + [k + a] + [k + 1] * a + [k] * (9 - a - k - 1), reverse=True)
     assert list(g.degree_sequence()) == expected
     assert quasi_star(6, 15) == ThresholdGraph("IDDDDD")  # complete

@@ -13,6 +13,7 @@ import pytest
 from quasistar.graphs import (
     LabeledGraph,
     ThresholdGraph,
+    l_graph,
     quasi_star,
     tilde_s,
     to_labeled,
@@ -43,7 +44,7 @@ from quasistar.spectra import (
     same_radius,
     spectral_radius,
 )
-from graph_builders import connected_threshold_graphs, is_threshold, threshold_graphs
+from graph_builders import connected_threshold_graphs, is_connected, is_threshold, threshold_graphs
 
 HALF = Fraction(1, 2)
 
@@ -144,6 +145,15 @@ def test_enumerate_threshold_single_vertex():
     assert [g.text for g in enumerate_threshold(FamilySpec(1, 0))] == ["I"]
 
 
+def test_quasi_star_and_l_graph_are_the_ends_of_the_walk():
+    # The walk's first and last members are seeds that set each family's x, and
+    # every prediction is built by formula: S(n,m) comes first, L(n,m) last.
+    for n in range(2, 15):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
+            members = list(enumerate_threshold(FamilySpec(n, m)))
+            assert (members[0], members[-1]) == (quasi_star(n, m), l_graph(n, m)), (n, m)
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism-free enumeration of all graphs
 # ---------------------------------------------------------------------------
@@ -196,7 +206,7 @@ def test_enumeration_is_complete_by_orbit_counting():
         labeled_total = sum(math.factorial(n) // automorphism_count(g) for g in reps)
         assert labeled_total == 2 ** (n * (n - 1) // 2)
         assert len(reps) == KNOWN_CLASS_COUNTS[n]
-        connected = [g for g in reps if g.is_connected]
+        connected = [g for g in reps if is_connected(g)]
         assert len(connected) == KNOWN_CONNECTED_COUNTS[n]
 
 
@@ -306,7 +316,7 @@ def test_vectorised_connectivity_matches_components():
         for b, g in enumerate(graphs):
             for u, v in g.edges:
                 adj[b, u - 1, v - 1] = adj[b, v - 1, u - 1] = True
-        assert search._connected(adj).tolist() == [g.is_connected for g in graphs]
+        assert search._connected(adj).tolist() == [is_connected(g) for g in graphs]
 
 
 def from_edge_key(key: str, n: int) -> LabeledGraph:
@@ -319,7 +329,7 @@ def per_graph_argmax(family: FamilySpec, alpha):
     """Reference: the per-graph ``spectral_radius`` loop the batched ALL scan replaced."""
     near = []
     for g in enumerate_all(FamilySpec(family.n, family.m, connected_only=False, universe=ALL)):
-        if family.connected_only and not g.is_connected:
+        if family.connected_only and not is_connected(g):
             continue
         near.append((edge_key(g), spectral_radius(g, alpha).rho))
     radii = np.array([rho for _, rho in near])
@@ -340,7 +350,7 @@ def test_batched_all_scan_matches_per_graph_solve(alpha, connected_only):
             report = argmax_rho(family, alpha)
             assert (report.rho_max, report.tie_gap, report.maximizer_set) == per_graph_argmax(family, alpha)
             disconnected_maximizers += sum(
-                not from_edge_key(key, n).is_connected for key in report.maximizer_set
+                not is_connected(from_edge_key(key, n)) for key in report.maximizer_set
             )
     # Without connected_only the fallback path decides families such as K_5 u K_1.
     assert (disconnected_maximizers > 0) == (not connected_only)
@@ -394,7 +404,9 @@ def test_pruned_all_scan_matches_one_solve_reference(monkeypatch, seeds):
         for alpha in alphas:
             scans = {}
             for connected_only in (True, False):
-                for m, report in search._all_reports(n, alpha, connected_only).items():
+                ms = range(n - 1 if connected_only else 0, len(starts) - 1)
+                for report in search._all_reports([FamilySpec(n, m, connected_only, ALL) for m in ms], alpha):
+                    m = report.family.m
                     scans[m, connected_only] = (report.rho_max, report.tie_gap, report.maximizer_set)
                     bound = report.rho_max - report.tie_gap - search._PRUNE_MARGIN
                     assert np.all(levels[-1][size == m] <= np.nextafter(bound, math.inf)), (n, alpha, m)
@@ -454,6 +466,15 @@ def test_argmax_over_all_graphs_universe():
     report = argmax_rho(FamilySpec(6, 10, connected_only=False, universe=ALL), HALF)
     k5_k1 = edge_key(to_labeled(ThresholdGraph("IDDDDI")))
     assert report.maximizer_set == (k5_k1,)
+
+
+def test_all_family_argmax_reads_only_its_own_edge_count(monkeypatch):
+    # One ALL family is scanned from its own classes: the 132 connected classes
+    # of order 7 with 10 edges, not all 853 of the order.
+    _, connected, starts = search._order_classes(7)
+    rows = counted_rows(monkeypatch, "definite_above")
+    argmax_rho(FamilySpec(7, 10, universe=ALL), HALF)
+    assert rows == [int(connected[starts[10] : starts[11]].sum())] == [132]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, search.FAMILY_CHUNK])
@@ -613,7 +634,7 @@ def test_walk_ranks_unrank_to_the_walk_order(monkeypatch):
             graphs = list(enumerate_threshold(family))
             assert [g.text for g in graphs] == expected, (family, chunk)
         labeled = [to_labeled(g) for g in graphs]
-        assert all(g.m == family.m and (g.is_connected or not family.connected_only) for g in labeled), family
+        assert all(g.m == family.m and (is_connected(g) or not family.connected_only) for g in labeled), family
         families, members = families + 1, members + len(expected)
     assert families == 305 and members == 2**10 - 1 + 2**9  # the connected n = 1 member counts twice
 
@@ -789,12 +810,12 @@ def test_dominance_verdict_matches_the_two_scan_verdict():
     failures = 0
     for n in range(1, 8):
         for alpha in DOMINANCE_ALPHAS:
-            reports = search._all_reports(n, alpha)
-            walk = threshold_argmax([FamilySpec(n, m) for m in reports], alpha)
+            reports = search._all_reports([FamilySpec(n, m, universe=ALL) for m in range(n - 1, n * (n - 1) // 2 + 1)], alpha)
+            walk = threshold_argmax([FamilySpec(n, report.family.m) for report in reports], alpha)
             expected = [
                 replace(report, matches_theorem=same_radius(report.rho_max, threshold.rho_max)
                         and all(is_threshold(from_edge_key(key, n)) for key in report.maximizer_set))
-                for report, threshold in zip(reports.values(), walk)
+                for report, threshold in zip(reports, walk)
             ]
             assert verify_threshold_dominance([n], [alpha]) == expected, (n, alpha)
             failures += sum(not r.matches_theorem for r in expected)
