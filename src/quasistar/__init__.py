@@ -32,11 +32,9 @@ from .graphs import (
     to_labeled,
 )
 from .search import (
-    ExtremalAudit,
     FamilySpec,
     VerificationReport,
     argmax_rho,
-    audit,
     enumerate_all,
     enumerate_threshold,
     predicted_maximizers,

@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Verbs: ``construct``, ``rho``, ``transform``, ``enumerate``, ``verify``,
-``audit``.  Graph arguments are auto-detected: a string over {I, D} is read
-as a creation sequence, anything else as the path of an edge-list file
-(first line ``n m``, then one ``u v`` pair per line, 1-indexed, u < v); a
-file whose name is over {I, D} is read as ``./did``.
+Verbs: ``construct``, ``rho``, ``transform``, ``enumerate``, ``verify``.
+Graph arguments are auto-detected: a string over {I, D} is read as a
+creation sequence, anything else as the path of an edge-list file (first
+line ``n m``, then one ``u v`` pair per line, 1-indexed, u < v); a file
+whose name is over {I, D} is read as ``./did``.
 ``rho`` solves a sequence by the threshold kernel and a file by the dense
 path, even when the file's graph is threshold (``spectral_radius`` picks).
 alpha arguments are exact rationals, e.g. ``1/2`` or ``0.75``.
@@ -50,7 +50,6 @@ from .search import (
     ALL,
     THRESHOLD,
     FamilySpec,
-    audit,
     edge_key,
     enumerate_all,
     enumerate_threshold,
@@ -86,12 +85,6 @@ def _parse_graph(text: str):
             raise ValueError(f"{token!r} was read as a creation sequence: {exc}; "
                              f"to read an edge-list file of that name, write ./{token}") from None
     return parse_edge_list(Path(token).read_text())
-
-
-def _as_threshold(g) -> ThresholdGraph:
-    if isinstance(g, ThresholdGraph):
-        return g
-    return threshold_from_labeled(g)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -151,7 +144,7 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    g = _as_threshold(_parse_graph(args.graph))
+    g = g if isinstance(g := _parse_graph(args.graph), ThresholdGraph) else threshold_from_labeled(g)
     spec = TransformSpec.parse(args.spec)
     after = apply_transform(g, spec)
     print(f"valid={spec.text}")
@@ -179,19 +172,6 @@ def _cmd_enumerate(args) -> int:
     else:
         for g in enumerate_all(family):
             print(edge_key(g))
-    return 0
-
-
-def _cmd_audit(args) -> int:
-    g = _as_threshold(_parse_graph(args.graph))
-    report = audit(g, args.r)
-    print(f"kappa={report.kappa}")
-    delta = ",".join(f"{j}:{c}" for j, c in sorted(report.delta.items()) if c) or "-"
-    print(f"delta={delta}")
-    print(f"s={report.s}")
-    print(f"theta={'-' if report.theta is None else report.theta}")
-    identity = "-" if report.identity_ok is None else int(report.identity_ok)
-    print(f"identity={identity} complete={int(report.complete)}")
     return 0
 
 
@@ -284,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default=None, help="comma list, e.g. 1/2,3/4; not for t12")
     p.add_argument("--r", type=int, default=None, help="band parameter; t42 only")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("audit", help="staircase statistics of a threshold graph")
-    p.add_argument("graph")
-    p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=_cmd_audit)
 
     return parser
 

@@ -30,14 +30,12 @@ warning and best non-maximizer, whose radius less 1e-6 is the scan's x.  The
 ``verify_*`` drivers make one walk per (n, alpha) and compare the found
 maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
 alpha = 1/2 where it exists); ``verify_threshold_dominance`` reads Lemma 2.4
-from one ``ALL`` scan per (n, alpha): every maximizer is threshold.  The
-``audit`` helper extracts the staircase statistics kappa, delta_j, s, theta
-used in the structural analysis of extremal hosts.
+from one ``ALL`` scan per (n, alpha): every maximizer is threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -547,15 +545,21 @@ def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
 
 
 def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
-    """The ALL-connected scan of (n, m): ``verify_threshold_dominance``'s one-order view."""
-    FamilySpec(n, m, universe=ALL)  # raises unless n - 1 <= m <= n(n-1)/2 and n <= 7
-    return verify_threshold_dominance([n], [alpha])[m - (n - 1)]
+    """The ALL-connected scan of (n, m) alone, with ``verify_threshold_dominance``'s verdict."""
+    return _dominance_verdict(_all_reports([FamilySpec(n, m, universe=ALL)], as_alpha(alpha))[0])
+
+
+def _dominance_verdict(report: VerificationReport) -> VerificationReport:
+    """``matches_theorem`` is True when every maximizer is threshold; a key's label counts are its degrees."""
+    labels = "123456789"[: report.family.n]
+    threshold = all(is_threshold_degrees(map(key.count, labels)) for key in report.maximizer_set)
+    return replace(report, matches_theorem=threshold)
 
 
 def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
     """Reports of every connected ALL family (n, m), ordered by n, m then alpha: one ALL scan per (n, alpha), no walk.
 
-    ``matches_theorem`` is True when every maximizer is threshold; a key's label counts are its degrees.  That alone
+    ``matches_theorem`` is True when every maximizer is threshold (``_dominance_verdict``).  That alone
     decides Lemma 2.4: connected threshold graphs are members of the ALL family, so a threshold ALL maximizer is also
     the threshold maximum.  A threshold walk's maximum could differ from the ALL scan's only by the kernels' certified
     residuals, each radius within sqrt(n) * 1e-11 of the true one, far inside the tie window.
@@ -564,58 +568,5 @@ def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
     for n in n_values:
         families = [FamilySpec(n, m, universe=ALL) for m in range(n - 1, n * (n - 1) // 2 + 1)]
         scans = [_all_reports(families, as_alpha(alpha)) for alpha in alphas]
-        for report in (report for row in zip(*scans) for report in row):
-            threshold = all(is_threshold_degrees(map(key.count, "123456789"[:n])) for key in report.maximizer_set)
-            reports.append(replace(report, matches_theorem=threshold))
+        reports.extend(_dominance_verdict(report) for row in zip(*scans) for report in row)
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Structural audit of a connected threshold host
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtremalAudit:
-    """Staircase statistics of a connected threshold graph.
-
-    kappa is the deepest index j with a_{j+1,j} = 1 in the stepwise matrix;
-    delta maps j to the count of vertices past position j with degree exactly
-    j; s is the largest offset with d(v_{r+s}) >= r+1 (0 when none) and theta
-    the excess d(v_{r+s}) - r.  For non-complete hosts the counts satisfy
-    n = sum_j delta_j + kappa, recorded in ``identity_ok``; complete graphs
-    degenerate and are flagged instead of checked.
-    """
-
-    n: int
-    r: int
-    kappa: int
-    delta: dict[int, int] = field(compare=False)
-    s: int = 0
-    theta: int | None = None
-    identity_ok: bool | None = None
-    complete: bool = False
-
-
-def audit(g: ThresholdGraph, r: int) -> ExtremalAudit:
-    if not g.is_connected:
-        raise ValueError("audit requires a connected threshold graph")
-    if r < 1:
-        raise ValueError("audit requires r >= 1")
-    n = g.n
-    rows = g.stepwise_rows
-    degrees = g.degree_sequence()  # non-increasing, as in stepwise order
-
-    complete = g.m == n * (n - 1) // 2
-    kappa = max((j for j in range(1, n) if rows[j + 1] >> j & 1), default=0)
-
-    delta = {} if complete else {j: degrees[j:].count(j) for j in range(1, kappa + 1)}
-    identity_ok = None if complete else n == sum(delta.values()) + kappa
-
-    s = 0
-    while r + s < n and degrees[r + s] >= r + 1:
-        s += 1
-    theta = degrees[r + s - 1] - r if s else None
-    return ExtremalAudit(
-        n=n, r=r, kappa=kappa, delta=delta, s=s, theta=theta,
-        identity_ok=identity_ok, complete=complete,
-    )

@@ -141,7 +141,7 @@ def test_rho_bad_graph_token(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("argv", [["rho", "1/2"], ["transform", "ROW 7 2 5 3 1"], ["audit", "--r", "2"]])
+@pytest.mark.parametrize("argv", [["rho", "1/2"], ["transform", "ROW 7 2 5 3 1"]])
 def test_file_named_like_a_sequence_is_read_by_its_dot_path(capsys, monkeypatch, tmp_path, argv):
     # "did" is over {I, D}, so it is read as a creation sequence and fails as
     # one; the error says so and that "./did" reads the edge-list file.
@@ -308,21 +308,6 @@ def test_verify_refuses_an_option_its_target_does_not_read(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-
-
-# ---------------------------------------------------------------------------
-# audit
-# ---------------------------------------------------------------------------
-
-def test_audit_verb(capsys):
-    code, out, _ = run(capsys, "audit", quasi_star(6, 10).text, "--r", "2")
-    assert code == 0
-    fields = dict(line.split("=", 1) for line in out.splitlines() if line.count("=") == 1)
-    assert fields["kappa"] == "3"
-    assert fields["delta"] == "2:2,3:1"
-    # degrees (5,5,3,3,2,2) at r=2: positions 3 and 4 still have degree >= 3
-    assert fields["s"] == "2"
-    assert fields["theta"] == "1"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Family enumeration, extremal argmax, verification drivers, audits."""
+"""Family enumeration, extremal argmax, verification drivers."""
 
 import functools
 import hashlib
@@ -23,7 +23,6 @@ from quasistar.search import (
     ALL,
     FamilySpec,
     argmax_rho,
-    audit,
     clique_band_hypothesis_bound,
     edge_key,
     enumerate_all,
@@ -44,7 +43,7 @@ from quasistar.spectra import (
     same_radius,
     spectral_radius,
 )
-from graph_builders import connected_threshold_graphs, is_connected, is_threshold, threshold_graphs
+from graph_builders import is_connected, is_threshold, threshold_graphs
 
 HALF = Fraction(1, 2)
 
@@ -786,9 +785,16 @@ def test_threshold_dominance_all_m_n5():
             assert threshold_dominance_report(5, m, alpha).matches_theorem
 
 
+def test_threshold_dominance_report_scans_only_its_own_family(monkeypatch):
+    # One family's report reads the 132 connected classes of order 7 with 10 edges, not all 853 of the order.
+    rows = counted_rows(monkeypatch, "definite_above")
+    threshold_dominance_report(7, 10, HALF)
+    assert rows == [132]
+
+
 @pytest.mark.parametrize("n, m", [(5, 3), (5, 2), (5, 11), (8, 7), (8, 20)])
 def test_threshold_dominance_rejects_infeasible_families(n, m):
-    # Below n - 1 a per-order index would go negative and answer for another m.
+    # FamilySpec refuses each: m below n - 1 or above n(n-1)/2, and orders above 7.
     with pytest.raises(ValueError):
         threshold_dominance_report(n, m, HALF)
 
@@ -806,7 +812,7 @@ DOMINANCE_ALPHAS = [Fraction(0), Fraction(1, 100), Fraction(1, 4), HALF, Fractio
 def test_dominance_verdict_matches_the_two_scan_verdict():
     # The one ALL scan's verdict, "every maximizer is threshold", is the verdict that also
     # compared the ALL maximum with a threshold walk's, on every record, including the
-    # ok=0 window records near alpha = 1.
+    # ok=0 window records near alpha = 1; a one-family report is its sweep row.
     failures = 0
     for n in range(1, 8):
         for alpha in DOMINANCE_ALPHAS:
@@ -818,6 +824,7 @@ def test_dominance_verdict_matches_the_two_scan_verdict():
                 for report, threshold in zip(reports, walk)
             ]
             assert verify_threshold_dominance([n], [alpha]) == expected, (n, alpha)
+            assert [threshold_dominance_report(n, r.family.m, alpha) for r in expected] == expected, (n, alpha)
             failures += sum(not r.matches_theorem for r in expected)
     assert failures == 13  # ROADMAP direction 1: the window ties a non-threshold class near alpha = 1
 
@@ -851,42 +858,3 @@ def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
         rows.clear()
         verify_threshold_dominance([7], [alpha])
         assert sum(rows) <= 0.15 * 853, alpha
-
-
-# ---------------------------------------------------------------------------
-# Structural audit
-# ---------------------------------------------------------------------------
-
-def test_audit_quasi_star_6_10():
-    report = audit(quasi_star(6, 10), r=2)
-    assert report.kappa == 3
-    assert report.delta == {1: 0, 2: 2, 3: 1}
-    assert report.identity_ok
-    assert not report.complete
-
-
-def test_audit_complete_graph_flagged():
-    report = audit(ThresholdGraph("IDDDDD"), r=2)
-    assert report.complete and report.kappa == 5
-    assert report.delta == {} and report.identity_ok is None
-
-
-def test_audit_tilde_s_24_48():
-    report = audit(tilde_s(24, 48), r=3)
-    assert report.kappa == 4
-    assert report.delta[2] == 19 and report.delta[4] == 1
-    assert report.identity_ok
-    # degrees (23,23,4,4,4,2,...): position r+s has the last degree >= r+1
-    assert report.s == 2 and report.theta == 1
-
-
-def test_audit_identity_on_all_connected_non_complete():
-    for g in connected_threshold_graphs(8):
-        if g.m == g.n * (g.n - 1) // 2:
-            continue
-        assert audit(g, r=1).identity_ok
-
-
-def test_audit_rejects_disconnected():
-    with pytest.raises(ValueError):
-        audit(ThresholdGraph("IDDDDI"), r=2)
