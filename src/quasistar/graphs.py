@@ -83,7 +83,7 @@ class ThresholdGraph:
     def n(self) -> int:
         return len(self.text)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return sum(i for i, sym in enumerate(self.text) if sym == DOMINATING)
 

@@ -4,7 +4,8 @@ Threshold graphs of order n biject with creation sequences; step i (0-based)
 adds i edges when it dominates and connected members end in D, so a family is
 a subset-sum walk.  The walk decides the steps top down, take before skip, so
 it meets a family's members in descending creation mask (bit i set when step i
-dominates), and subset-sum counts rank them in that order.
+dominates), and subset-sum counts rank them in that order; one read-only
+table of them per order serves all its families.
 ``enumerate_threshold`` unranks every rank in blocks.  ``threshold_argmax``
 scans the families of one order and connectivity in one branch-and-bound walk,
 depth first in blocks of bool rows; it unranks each family's seeds, its first
@@ -302,18 +303,21 @@ def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     return (threshold_argmax if family.universe == THRESHOLD else _all_reports)([family], as_alpha(alpha))[0]
 
 
-def _subset_counts(top: int, most: int) -> np.ndarray:
-    """c[t, s]: how many subsets of {1..t} sum to s (t <= top, s <= most), capped at ``_COUNT_CAP``; s in [-top, 0) reads the last, zero, columns.
+@lru_cache(maxsize=16)  # read-only; one table serves every family of an order
+def _subset_counts(top: int) -> np.ndarray:
+    """c[t, s]: how many subsets of {1..t} sum to s (t <= top, s <= top (top + 1) / 2), capped at ``_COUNT_CAP``; s in [-top, 0) reads the last, zero, columns.
 
     An entry below the cap is exact, since its two summands are; the walk reads
     only counts of subtrees of its families, none above a family's size.
     """
+    most = top * (top + 1) // 2
     c = np.zeros((top + 1, most + 1 + top), dtype=np.int64)
     c[:, 0] = 1
     for t in range(1, top + 1):
         c[t, 1 : most + 1] = c[t - 1, 1 : most + 1]
         c[t, t : most + 1] += c[t - 1, : max(most + 1 - t, 0)]
         np.minimum(c[t], _COUNT_CAP, out=c[t])
+    c.setflags(write=False)
     return c
 
 
@@ -330,7 +334,7 @@ def _walk_root(families):
     n, linked = first.n, first.connected_only and first.n > 1
     top = n - 2 if linked else n - 1
     need = np.array([f.m - (n - 1) * linked for f in families], dtype=np.int64)
-    c = _subset_counts(top, int(need.max()))
+    c = _subset_counts(top)
     size = c[top, need]
     if size.max() >= _COUNT_CAP:
         raise ValueError(f"family {families[int(size.argmax())]} has at least {_COUNT_CAP} members, too many to walk")
@@ -341,8 +345,8 @@ def _walk_root(families):
 
 def _children(rows, need, rank, fam, t: int, c: np.ndarray):
     """The level-(t-1) children of level-t nodes in walk order: each node's take (step t dominates), then its skip."""
-    below = c[t - 1, need - t]  # members under the take child
-    kept = np.stack((below > 0, c[t - 1, need] > 0), axis=1).ravel().nonzero()[0]
+    below = c[t - 1][need - t]  # members under the take child
+    kept = np.stack((below > 0, c[t - 1][need] > 0), axis=1).ravel().nonzero()[0]
     parent, take = kept >> 1, kept & 1 == 0
     rows = rows[parent]
     rows[:, t] = take
@@ -360,7 +364,7 @@ def _unrank(rows, need, rank, top: int, c: np.ndarray) -> np.ndarray:
     """The members at the given walk ranks under level-top nodes: step t dominates while the rank is under its take."""
     rows, need, rank = rows.copy(), need.copy(), rank.copy()
     for t in range(top, 0, -1):
-        below = c[t - 1, need - t]
+        below = c[t - 1][need - t]
         rows[:, t] = take = rank < below
         need -= t * take
         rank -= below * ~take

@@ -27,10 +27,11 @@ its walk that ``count_above``, an O(n) count of the eigenvalues above x by
 the inertia of a tridiagonal congruent to M_alpha - xI, does not prove below
 the family's top radii; on a walk node's supergraph, that count, not a
 residual, certifies every member under the node.
-``threshold_spectrum``, the cached one-graph entry, reads its graph's row
-from a table of the whole order, solved in one call at each alpha, when the
-order has at most ``FAMILY_CHUNK`` threshold graphs (n <= 10), and otherwise
-from a batch of one row.  Every pair is certified: the vector's sign makes
+``threshold_spectrum``, the cached one-graph entry, reads a connected
+graph's row from a table of its order's 2^(n-2) connected graphs (those whose
+creation sequence ends in D), solved in one call at each alpha, when the
+order has at most ``FAMILY_CHUNK`` threshold graphs (n <= 10); any other
+graph is a batch of one row.  Every pair is certified: the vector's sign makes
 its sum positive, no entry may be negative beyond rounding, and the
 infinity-norm residual of the full n-vector against M_alpha must stay below
 ``RESIDUAL_TOL`` (for threshold graphs by an O(n) prefix-sum product in
@@ -62,8 +63,8 @@ HALF = Fraction(1, 2)
 
 #: Rows per block: a threshold scan expands, tests and solves its walk's
 #: frontier in blocks of at most this many bool rows, and an order with at
-#: most this many threshold graphs (n <= 10) is solved whole for
-#: ``threshold_spectrum``.  It bounds the memory of both.
+#: most this many threshold graphs (n <= 10) has its connected graphs solved
+#: as one table for ``threshold_spectrum``.  It bounds the memory of both.
 FAMILY_CHUNK = 512
 
 
@@ -191,31 +192,34 @@ def spectral_radius(g: LabeledGraph | ThresholdGraph, alpha) -> Spectrum:
 
 def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
     """Cached spectrum of a threshold graph in its stepwise vertex order."""
-    return _threshold_spectrum(g, as_alpha(alpha))
+    alpha = as_alpha(alpha)
+    return _threshold_spectrum(g.text, alpha.numerator, alpha.denominator)
 
 
-# The Spectrum cache: a miss reads one row of the threshold kernel in one of
-# its two call shapes and gates that row alone.  Bounded so that long sweeps
-# keep flat memory; rewiring certificates revisit spectra only near the
-# current host, and hit as often at every bound from 64 to 4096 as unbounded.
+# The Spectrum cache, keyed by creation sequence and alpha's numerator and
+# denominator (a Fraction hashes in Python): a miss reads one row of the
+# threshold kernel in one of its two call shapes and gates that row alone.
+# Bounded so that long sweeps keep flat memory; rewiring certificates revisit
+# spectra only near the current host, and hit as often at every bound from
+# 64 to 4096 as unbounded.
 @lru_cache(maxsize=1024)
-def _threshold_spectrum(g: ThresholdGraph, alpha: Fraction) -> Spectrum:
-    """g's row of ``family_spectra``, certified on its own, in stepwise labels."""
-    dom = [sym == DOMINATING for sym in g.text]
-    if 1 << (g.n - 1) <= FAMILY_CHUNK:
-        table, row = _order_table(g.n, alpha), sum(d << j for j, d in enumerate(dom[1:]))
+def _threshold_spectrum(text: str, num: int, den: int) -> Spectrum:
+    """The row of ``family_spectra`` for creation sequence ``text`` at alpha = num/den, certified on its own, in stepwise labels."""
+    n = len(text)
+    if 1 << (n - 1) <= FAMILY_CHUNK and text[-1] == DOMINATING:
+        table, row = _order_table(n, num, den), sum((s == DOMINATING) << (j - 1) for j, s in enumerate(text[1:-1], 1))
     else:
-        table, row = _stepwise_rows(np.array([dom]), alpha), 0
+        table, row = _stepwise_rows(np.array([[sym == DOMINATING for sym in text]]), Fraction(num, den)), 0
     rho, perron, residual = float(table[0][row]), table[1][row].copy(), float(table[2][row])
     _gate(residual, float(perron.min()))
     perron.setflags(write=False)  # a copy, so that a cached Spectrum does not keep its table alive
     return Spectrum(rho=rho, perron=perron, iterations=0, residual=residual)
 
 
-@lru_cache(maxsize=16)  # 512 rows of 12 floats at n = 10; a sweep of one order keeps its alphas' tables
-def _order_table(n: int, alpha: Fraction):
-    """Ungated stepwise rows of all threshold graphs on n vertices; row r has D at j >= 1 for bit j - 1."""
-    return _stepwise_rows(_rows(np.arange(1 << (n - 1)) << 1, n), alpha)
+@lru_cache(maxsize=16)  # 256 rows of 12 floats at n = 10; a sweep of one order keeps its alphas' tables
+def _order_table(n: int, num: int, den: int):
+    """Ungated stepwise rows of the connected threshold graphs on n > 1 vertices; row r has D at n - 1, and at j >= 1 for bit j - 1."""
+    return _stepwise_rows(_rows(np.arange(1 << (n - 2)) << 1 | 1 << (n - 1), n), Fraction(num, den))
 
 
 def _rows(masks, n: int) -> np.ndarray:

@@ -56,7 +56,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .graphs import ThresholdGraph, from_degree_sequence, stepwise_row
-from .spectra import HALF, as_alpha, same_radius, threshold_spectrum
+from .spectra import as_alpha, same_radius, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
 
@@ -97,7 +97,7 @@ class TransformSpec:
         if not _fits(self.kind, p, q, h, k, l):
             raise ValueError(f"indices violate the {self.kind} shape: p={p} q={q} h={h} k={k} l={l}")
 
-    @property
+    @cached_property  # printed on every certificate line of the spec
     def text(self) -> str:
         if self.kind == "BASIC":
             return f"BASIC {self.p} {self.q} {self.h} {self.k}"
@@ -240,12 +240,8 @@ def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
 def eq1_residual(rho1: float, x, spec: TransformSpec, alpha) -> float:
     """Residual of the host-side identity for the eigenpair (rho1, x)."""
     a = float(alpha)
-    x = np.asarray(x, dtype=float)
-    p, h = spec.p, spec.h
     (w, _), (q0, _), _ = spec._ends
-    lhs = (rho1 - w * a) * (x[h - 1] - x[p - 1])
-    rhs = (w - q0 + 1) * a * x[p - 1] + (1.0 - a) * float(x[q0 - 1 : w].sum())
-    return abs(lhs - rhs)
+    return _identity_residual(rho1 - w * a, x, spec.h, spec.p, q0, w, a)
 
 
 def eq2_residual(rho2: float, y, spec: TransformSpec, alpha) -> float:
@@ -255,12 +251,14 @@ def eq2_residual(rho2: float, y, spec: TransformSpec, alpha) -> float:
     labels fixed).
     """
     a = float(alpha)
-    y = np.asarray(y, dtype=float)
-    p, q, k = spec.p, spec.q, spec.k
-    h0 = spec._ends[2]
-    lhs = (rho2 - p * a + 1.0) * (y[q - 1] - y[k - 1])
-    rhs = (p - h0 + 1) * a * y[k - 1] + (1.0 - a) * float(y[h0 - 1 : p].sum())
-    return abs(lhs - rhs)
+    return _identity_residual(rho2 - spec.p * a + 1.0, y, spec.q, spec.k, spec._ends[2], spec.p, a)
+
+
+def _identity_residual(scale: float, x, i: int, j: int, lo: int, hi: int, a: float) -> float:
+    """|scale (x_i - x_j) - (hi - lo + 1) a x_j - (1-a) (x_lo + ... + x_hi)| in Python floats; the strip sum stays numpy's (pairwise)."""
+    x = np.asarray(x, dtype=float)
+    xi, xj = x.item(i - 1), x.item(j - 1)
+    return abs(scale * (xi - xj) - ((hi - lo + 1) * a * xj + (1.0 - a) * float(np.add.reduce(x[lo - 1 : hi]))))
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +297,24 @@ class MonotonicityCertificate:
 def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertificate:
     """Apply the rewiring and certify the spectral-radius comparison.
 
-    alpha is normalised once, and the memoised ``apply_transform`` validates
+    alpha is normalised once and the rule is read off the sign of 2 num - den,
+    with no Fraction arithmetic; the memoised ``apply_transform`` validates
     and rewires a move once across alphas.
     """
     alpha = as_alpha(alpha)
-    a = float(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    half = 2 * num - den  # the sign of alpha - 1/2
+    a = num / den  # float(alpha): one correctly rounded division
     g_after = apply_transform(g, spec)
     spec_before = threshold_spectrum(g, alpha)
     spec_after = threshold_spectrum(g_after, alpha)
     rho1, rho2 = spec_before.rho, spec_after.rho
 
-    if alpha < HALF:
+    if half < 0:
         covered, rule, predicted = False, RULE_NONE, None
     elif spec.k == spec.q + 1:
         covered, rule = True, RULE_ADJACENT
-        predicted = alpha == HALF and spec.l == 0 and spec.p == spec.h + 1 == spec.q + 3
+        predicted = half == 0 and spec.l == 0 and spec.p == spec.h + 1 == spec.q + 3
     elif spec.kind == "BASIC" and spec.k == spec.q + 2 and spec.p > spec.h + 1:
         covered, rule, predicted = True, RULE_SKIP, False
     else:

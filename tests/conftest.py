@@ -2,7 +2,7 @@
 
 import pytest
 
-from quasistar import spectra
+from quasistar import search, spectra
 
 
 def clear_threshold_caches():
@@ -20,3 +20,9 @@ def cold_spectrum_cache():
     clear_threshold_caches()
     yield
     clear_threshold_caches()
+
+
+@pytest.fixture(autouse=True)
+def cold_walk_counts():
+    """Every test starts without the walk's per-order subset-sum tables, as a fresh process does."""
+    search._subset_counts.cache_clear()

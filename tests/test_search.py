@@ -638,6 +638,20 @@ def test_walk_ranks_unrank_to_the_walk_order(monkeypatch):
     assert families == 305 and members == 2**10 - 1 + 2**9  # the connected n = 1 member counts twice
 
 
+def test_walk_counts_are_shared_per_order_across_interleaved_calls():
+    # Orders interleaved across calls, connected and not: each list equals a
+    # call's with the count tables cleared, and each walk height (n - 2
+    # connected, n - 1 not) builds one table, which its later families reuse.
+    sequence = [(9, 14), (5, 6), (9, 22), (12, 40), (9, 30), (5, 8), (12, 25)]
+    families = [FamilySpec(n, m, connected_only) for n, m in sequence for connected_only in (True, False)]
+    warm = [[g.text for g in enumerate_threshold(family)] for family in families]
+    assert search._subset_counts.cache_info().misses == len({n - 1 - c for n, _ in sequence for c in (True, False)}) == 6
+    for family, texts in zip(families, warm):
+        search._subset_counts.cache_clear()
+        assert [g.text for g in enumerate_threshold(family)] == texts, family
+    assert sum(map(len, warm)) == 220
+
+
 def exact_subset_counts(top: int, most: int) -> list[list[int]]:
     """The subset-sum table in Python ints, unbounded."""
     rows = [[1] + [0] * most]
@@ -650,7 +664,7 @@ def test_subset_counts_saturate_at_the_cap():
     # {1..75} has about 2^66 subsets summing to 1425, above the cap.
     top, most = 75, 75 * 76 // 2
     exact = exact_subset_counts(top, most)
-    capped = search._subset_counts(top, most)
+    capped = search._subset_counts(top)
     assert capped.dtype == np.int64 and not capped[:, most + 1 :].any()
     assert capped[:, : most + 1].tolist() == [[min(v, search._COUNT_CAP) for v in row] for row in exact]
     assert max(map(max, exact)) > search._COUNT_CAP

@@ -351,9 +351,27 @@ def test_one_graph_solve_matches_batch_row_at_large_n(cold_spectrum_cache):
     assert_served_spectrum_is_batch_row([quasi_star(61, 63), tilde_s(61, 63)], Fraction(99, 100))
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(9, 10)])
+def test_order_table_holds_the_connected_graphs(alpha, cold_spectrum_cache):
+    # Each row of an order's table, n <= 10, is a connected graph, and equals
+    # bit for bit its row of one ``family_spectra`` call on the whole order.
+    for n in range(2, 11):
+        rho, x, residual = spectra._order_table(n, alpha.numerator, alpha.denominator)
+        graphs = [ThresholdGraph("I" + "".join("ID"[r >> j & 1] for j in range(n - 2)) + "D") for r in range(len(rho))]
+        assert len(rho) == 2 ** (n - 2) and len({g.text for g in graphs}) == len(rho)
+        assert all(len(to_labeled(g).components()) == 1 for g in graphs), n
+        every = list(threshold_graphs(n))
+        rows = [every.index(g) for g in graphs]
+        want_rho, want_x, want_residual = family_spectra(np.array([[sym == "D" for sym in g.text] for g in every]), alpha)
+        assert np.array_equal(rho, want_rho[rows]) and np.array_equal(residual, want_residual[rows]), n
+        for g, row, got in zip(graphs, rows, x):
+            assert np.array_equal(got, want_x[row][np.argsort(-np.array(g.creation_degrees()), kind="stable")]), g.text
+
+
 def test_one_kernel_call_per_order(monkeypatch, cold_spectrum_cache):
     # Certifying every valid k = q+1 move of every connected n = 9 host reads
-    # all spectra, before and after, from one whole-order solve.
+    # all spectra, before and after, from one solve of the order's 2^7
+    # connected graphs.
     kernel, batches = spectra._family_rows, []
 
     def counted(dom, alpha):
@@ -366,7 +384,7 @@ def test_one_kernel_call_per_order(monkeypatch, cold_spectrum_cache):
     for g, spec in moves:
         certify(g, spec, Fraction(3, 5))
     assert len(moves) > 100
-    assert batches == [(256, 9)]
+    assert batches == [(128, 9)]
 
 
 def test_threshold_spectrum_cache_consistency():

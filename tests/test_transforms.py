@@ -432,6 +432,36 @@ def test_strict_move_near_alpha_one_is_not_observed_equal():
     assert cert.observed_equality is False
 
 
+def rule_by_fractions(spec, alpha):
+    """(covered, rule, predicted_equality) by exact Fraction comparisons with 1/2."""
+    if alpha < HALF:
+        return False, transforms.RULE_NONE, None
+    if spec.k == spec.q + 1:
+        return True, transforms.RULE_ADJACENT, alpha == HALF and spec.l == 0 and spec.p == spec.h + 1 == spec.q + 3
+    if spec.kind == "BASIC" and spec.k == spec.q + 2 and spec.p > spec.h + 1:
+        return True, transforms.RULE_SKIP, False
+    return False, transforms.RULE_NONE, None
+
+
+def test_rule_at_and_around_one_half_matches_fraction_comparisons():
+    # 1/2 + 10^-30 and 1/2 - 10^-30 both have the float 0.5, so only the exact
+    # sign of alpha - 1/2 tells them apart.  Every valid move with n <= 7 at
+    # dk = 1, 2, 3 covers both rules, the equality shape and the uncovered.
+    tiny = Fraction(1, 10**30)
+    alphas = (HALF, HALF + tiny, HALF - tiny, Fraction(0), Fraction(49, 100), Fraction(51, 100))
+    assert float(HALF + tiny) == float(HALF - tiny) == 0.5
+    moves = [move for dk in (1, 2, 3) for move in valid_instances(7, dk=dk)]
+    seen = set()
+    for g, spec in moves:
+        for alpha in alphas:
+            cert = certify(g, spec, alpha)
+            expected = rule_by_fractions(spec, alpha)
+            assert (cert.covered, cert.rule, cert.predicted_equality) == expected, (g.text, spec.text, alpha)
+            seen.add(expected)
+    assert {(True, transforms.RULE_ADJACENT, True), (True, transforms.RULE_ADJACENT, False),
+            (True, transforms.RULE_SKIP, False), (False, transforms.RULE_NONE, None)} == seen
+
+
 def test_uncovered_cases_are_flagged_not_guessed():
     host = l_graph(7, 12)
     spec = TransformSpec("ROW", 7, 2, 5, 3, 1)
