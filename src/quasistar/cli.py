@@ -146,12 +146,13 @@ def _cmd_rho(args) -> int:
 def _cmd_transform(args) -> int:
     g = g if isinstance(g := _parse_graph(args.graph), ThresholdGraph) else threshold_from_labeled(g)
     spec = TransformSpec.parse(args.spec)
+    alpha = None if args.alpha is None else as_alpha(args.alpha)
     after = apply_transform(g, spec)
+    cert = None if alpha is None else certify(g, spec, alpha)
     print(f"valid={spec.text}")
     _emit_graph(after)
-    if args.alpha is None:
+    if cert is None:
         return 0
-    cert = certify(g, spec, as_alpha(args.alpha))
     print(f"rho_before={_fmt(cert.rho_before)}")
     print(f"rho_after={_fmt(cert.rho_after)}")
     print(f"covered={int(cert.covered)} rule={cert.rule}")

@@ -12,13 +12,12 @@ and two threshold graphs are structurally equal iff their strings are equal.
 
 Under a degree-descending vertex numbering the adjacency matrix of a threshold
 graph is *stepwise*: a_hk = 1 with h > k forces a_ij = 1 for all j < i <= h,
-j <= k.  Equivalently every neighborhood is a prefix, and ``stepwise_row(v,
-d)`` is the one prefix rule: vertex v of degree d is adjacent to 1..d, or to
-1..d+1 except itself when v <= d.  So a pair (u, v) with u < v is an edge
-exactly when u <= deg(v).  ``ThresholdGraph.stepwise_rows`` applies the rule
-to the degree sequence, ``to_labeled`` reads its edge set off those rows, and
-the rewiring module accepts a move exactly when every row it touches is again
-a ``stepwise_row``.
+j <= k.  Equivalently every neighborhood is a prefix: vertex v of degree d is
+adjacent to 1..reach except itself, where reach = d + (v <= d).  So a pair
+(u, v) with u < v is an edge exactly when u <= deg(v), and the degree sequence
+alone is the matrix: ``to_labeled`` reads its edge set off
+``degree_sequence()``, and the rewiring module tests a move on the degrees of
+the rows it touches.
 
 Recognition is one test on degrees.  A threshold degree sequence has exactly
 one realization (threshold sequences are unigraphic; Mahadev-Peled, *Threshold
@@ -103,27 +102,12 @@ class ThresholdGraph:
         return deg
 
     def degree_sequence(self) -> tuple[int, ...]:
-        """Non-increasing degree sequence."""
+        """Non-increasing degree sequence: entry v-1 is the degree of stepwise vertex v."""
+        return self._degrees
+
+    @cached_property  # read on every ``validate`` call
+    def _degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.creation_degrees(), reverse=True))
-
-    @cached_property
-    def stepwise_rows(self) -> tuple[int, ...]:
-        """Adjacency bitmasks in stepwise labels; index 0 is unused.
-
-        The stepwise order lists vertices by descending degree; each row is
-        the ``stepwise_row`` of its vertex and degree.
-        """
-        degrees = self.degree_sequence()
-        return (0,) + tuple(stepwise_row(v, d) for v, d in enumerate(degrees, start=1))
-
-
-def stepwise_row(v: int, d: int) -> int:
-    """Bitmask of the prefix neighborhood of vertex v with degree d.
-
-    Vertex v is adjacent to 1..d, or to 1..d+1 except itself when v <= d.
-    """
-    reach = d + (v <= d)
-    return ((1 << (reach + 1)) - 2) & ~(1 << v)
 
 
 @dataclass(frozen=True)
@@ -192,15 +176,14 @@ class LabeledGraph:
 # ---------------------------------------------------------------------------
 
 def to_labeled(g: ThresholdGraph) -> LabeledGraph:
-    """Relabel in degree-descending order, read off ``g.stepwise_rows``.
+    """Relabel in degree-descending order: (u, v) with u < v is an edge exactly when u <= deg(v).
 
     The resulting adjacency matrix is stepwise.  Vertices of equal degree are
     twins, so the edge set does not depend on how ties are ordered.
     """
-    rows = g.stepwise_rows
-    return LabeledGraph.from_edges(
-        g.n, ((u, v) for u in range(1, g.n + 1) for v in range(u + 1, g.n + 1) if rows[u] >> v & 1)
-    )
+    deg = g.degree_sequence()
+    edges = ((u, v) for v in range(2, g.n + 1) for u in range(1, min(v, deg[v - 1] + 1)))
+    return LabeledGraph.from_edges(g.n, edges)
 
 
 def threshold_from_labeled(g: LabeledGraph) -> ThresholdGraph:

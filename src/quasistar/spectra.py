@@ -209,7 +209,7 @@ def _threshold_spectrum(text: str, num: int, den: int) -> Spectrum:
     if 1 << (n - 1) <= FAMILY_CHUNK and text[-1] == DOMINATING:
         table, row = _order_table(n, num, den), sum((s == DOMINATING) << (j - 1) for j, s in enumerate(text[1:-1], 1))
     else:
-        table, row = _stepwise_rows(np.array([[sym == DOMINATING for sym in text]]), Fraction(num, den)), 0
+        table, row = _stepwise_spectra(np.array([[sym == DOMINATING for sym in text]]), Fraction(num, den)), 0
     rho, perron, residual = float(table[0][row]), table[1][row].copy(), float(table[2][row])
     _gate(residual, float(perron.min()))
     perron.setflags(write=False)  # a copy, so that a cached Spectrum does not keep its table alive
@@ -219,7 +219,7 @@ def _threshold_spectrum(text: str, num: int, den: int) -> Spectrum:
 @lru_cache(maxsize=16)  # 256 rows of 12 floats at n = 10; a sweep of one order keeps its alphas' tables
 def _order_table(n: int, num: int, den: int):
     """Ungated stepwise rows of the connected threshold graphs on n > 1 vertices; row r has D at n - 1, and at j >= 1 for bit j - 1."""
-    return _stepwise_rows(_rows(np.arange(1 << (n - 2)) << 1 | 1 << (n - 1), n), Fraction(num, den))
+    return _stepwise_spectra(_rows(np.arange(1 << (n - 2)) << 1 | 1 << (n - 1), n), Fraction(num, den))
 
 
 def _rows(masks, n: int) -> np.ndarray:
@@ -227,7 +227,7 @@ def _rows(masks, n: int) -> np.ndarray:
     return np.asarray(masks, dtype=np.int64).reshape(-1, 1) >> np.arange(n) & 1 == 1
 
 
-def _stepwise_rows(dom: np.ndarray, alpha: Fraction):
+def _stepwise_spectra(dom: np.ndarray, alpha: Fraction):
     """Ungated rows, Perron vectors stably sorted by descending degree (only twins, equal entries, tie)."""
     rho, x, residual, deg = _family_rows(dom, alpha)
     return rho, np.take_along_axis(x, np.argsort(-deg, axis=1, kind="stable"), axis=1), residual

@@ -1,9 +1,8 @@
 """Radius-increasing edge rewirings on connected threshold graphs.
 
 All three rewirings are described by positions in the stepwise adjacency
-matrix (vertices sorted by descending degree, as in
-``ThresholdGraph.stepwise_rows``).  With indices p > h > k > q and width
-l >= 0:
+matrix (vertices sorted by descending degree, as in ``graphs.to_labeled``).
+With indices p > h > k > q and width l >= 0:
 
 * ``BASIC (p, q; h, k)``           removes the staircase corner edge (h, k)
   and fills the vacant corner (p, q).
@@ -15,25 +14,28 @@ l >= 0:
 The corner move is the width-0 strip: BASIC has COL's index shape at l = 0
 and the same cells, and ``_fits`` states all three shapes once.
 
-Validation is one rule for all three kinds.  In the stepwise matrix every
-neighborhood is a prefix (``graphs.stepwise_row``), and nested neighborhoods
-are exactly what makes a graph threshold, so the paper's conditions (ii) and
-(iii) (removed cells at the tip of their row/column, filled cells at the first
-vacancies of theirs) say: every removed cell is an edge, every filled cell is
-vacant, and every row the move touches is again the prefix row for its new
-degree.  The result is then threshold with the same vertex and edge counts.
-The first two are two bit tests, run before any row is rebuilt.  A cell
-(u, v), u < v, is an edge exactly when u <= deg(v) (``graphs``), and degrees
+Validation is one rule for all three kinds, read off the degrees.  In the
+stepwise matrix vertex v of degree d is adjacent to 1..reach except itself,
+reach = d + (v <= d) (``graphs``), and nested prefix neighborhoods are exactly
+what makes a graph threshold.  Every row a move touches loses or gains one
+column range lo..hi without v.  Two corner tests run first and reject most
+moves: a cell (u, v), u < v, is an edge exactly when u <= deg(v), and degrees
 do not increase down the order, so the removed strip is all edges exactly
 when its last cell ``max(removals())`` is one, and the filled strip is all
-vacant exactly when its first cell ``min(additions())`` is.
-``bench/reference.py`` defines validity cell by cell, on dense matrices.
-``validate`` is a plain predicate; only ``apply_transform`` formats a
-rejection's reason, by the row rule, into its ``InvalidTransformError``.
+vacant exactly when its first cell ``min(additions())`` is.  Then the paper's
+conditions (iii) (removed cells at the tip of their row) and (ii) (filled
+cells at the first vacancies of theirs) read: a losing row ends at its reach
+(hi == reach), and a gaining row starts at its first vacancy (lo == reach + 1,
+or reach + 2 when reach + 1 is v).  Together they say that every touched row
+is again the prefix row of its new degree, so the result is threshold with
+the same vertex and edge counts.  ``bench/reference.py`` defines validity
+cell by cell, on dense matrices.  ``validate`` is a plain predicate; only
+``apply_transform`` formats a rejection's reason into its
+``InvalidTransformError``.
 
-A move never touches an edge set.  Each spec caches the bits its cells clear
-and set in every row they touch; the moved bitmask rows give the rewired
-degrees, still non-increasing on the host's labels, and
+A move never touches an edge set.  Each spec caches the column range that
+every touched row loses or gains; adding or taking away each range's width
+gives the rewired degrees, still non-increasing on the host's labels, and
 ``from_degree_sequence`` turns them into the canonical creation sequence (a
 threshold degree sequence has exactly one realization).  ``certify`` goes
 through ``apply_transform``, which is memoised per (host, spec), so a move
@@ -55,7 +57,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graphs import ThresholdGraph, from_degree_sequence, stepwise_row
+from .graphs import ThresholdGraph, from_degree_sequence
 from .spectra import as_alpha, same_radius, threshold_spectrum
 
 KINDS = ("BASIC", "ROW", "COL")
@@ -127,14 +129,19 @@ class TransformSpec:
         return [(self.q - j, self.p) for j in range(self.l + 1)]
 
     @cached_property
-    def _row_edits(self) -> tuple[tuple[int, int, int], ...]:
-        """(vertex, bits to clear, bits to set) for every row the move touches."""
+    def _row_edits(self) -> tuple[tuple[int, int, int, bool], ...]:
+        """(vertex, lo, hi, fill) for every row the move touches, by vertex.
+
+        The row loses columns lo..hi, or gains them when ``fill``; no row
+        does both, and the range never holds the vertex itself.
+        """
         edits = {}
-        for cells, slot in ((self.removals(), 0), (self.additions(), 1)):
+        for cells, fill in ((self.removals(), False), (self.additions(), True)):
             for u, v in cells:
-                edits.setdefault(u, [0, 0])[slot] |= 1 << v
-                edits.setdefault(v, [0, 0])[slot] |= 1 << u
-        return tuple((v, clear, fill) for v, (clear, fill) in sorted(edits.items()))
+                for row, col in ((u, v), (v, u)):
+                    lo, hi, _ = edits.get(row, (col, col, fill))
+                    edits[row] = (min(lo, col), max(hi, col), fill)
+        return tuple((v, *edits[v]) for v in sorted(edits))
 
     @cached_property
     def _ends(self) -> tuple[tuple[int, int], tuple[int, int], int]:
@@ -146,43 +153,43 @@ class TransformSpec:
         return max(removed), min(self.additions()), min(removed)[1]
 
 
-def _moved_rows(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -> dict[int, int] | str | bool:
-    """``{vertex: row after the move}`` for each touched row, or why the move fails.
+def _verdict(g: ThresholdGraph, spec: TransformSpec, explain: bool = False) -> bool | str:
+    """True when the move applies to g, else False, or its reason when ``explain`` asks.
 
-    A failure is False unless ``explain`` asks for its reason.  Raises
-    ValueError when indices exceed the host size.
+    Row v of degree d holds columns 1..reach except v, reach = d + (v <= d).
+    Raises ValueError when indices exceed the host size.
     """
     if spec.p > g.n:
         raise ValueError(f"index p={spec.p} out of range for n={g.n}")
     if not g.is_connected:
         return explain and "host graph is not connected"
-    rows = g.stepwise_rows
+    deg = g.degree_sequence()
     (w, h), (q0, p0), _ = spec._ends
-    if not rows[h] >> w & 1 or rows[p0] >> q0 & 1:
+    if w > deg[h - 1] or q0 <= deg[p0 - 1]:
         if not explain:
             return False
-        for v, clear, fill in spec._row_edits:  # name the first row with a bad cell
-            gone, taken = clear & ~rows[v], fill & rows[v]
-            if gone:
-                return f"(iii): a[{v},{gone.bit_length() - 1}] = 0, a removed cell is not an edge"
-            if taken:
-                return f"(ii): a[{v},{taken.bit_length() - 1}] = 1, a filled cell is not vacant"
-    moved = {}
-    for v, clear, fill in spec._row_edits:
-        row = rows[v] ^ clear ^ fill
-        if row != stepwise_row(v, row.bit_count()):
+        for v, lo, hi, fill in spec._row_edits:  # name the first row with a bad cell
+            reach = deg[v - 1] + (v <= deg[v - 1])
+            if not fill and hi > reach:
+                return f"(iii): a[{v},{hi}] = 0, a removed cell is not an edge"
+            if fill and lo <= reach:
+                return f"(ii): a[{v},{min(hi, reach)}] = 1, a filled cell is not vacant"
+    for v, lo, hi, fill in spec._row_edits:
+        reach = deg[v - 1] + (v <= deg[v - 1])
+        if not (lo == reach + 1 + (v == reach + 1) if fill else hi == reach):
             return explain and f"row {v} is not stepwise after the move"
-        moved[v] = row
-    return moved
+    return True
 
 
 def validate(g: ThresholdGraph, spec: TransformSpec) -> bool:
-    """Whether the rewiring applies to g, by the one prefix rule of ``_moved_rows``.
+    """Whether the rewiring applies to g, read off its degrees by ``_verdict``.
 
+    Two corner cells reject most moves; then every row the move touches must
+    lose columns up to its reach or gain them from its first vacancy.
     Raises ValueError when indices exceed the host size; ``apply_transform``
     names the first violation of a move that fails.
     """
-    return bool(_moved_rows(g, spec))
+    return _verdict(g, spec)
 
 
 # A move is certified at a few alphas in a row; 256 entries cover that reuse.
@@ -190,21 +197,21 @@ def validate(g: ThresholdGraph, spec: TransformSpec) -> bool:
 def apply_transform(g: ThresholdGraph, spec: TransformSpec) -> ThresholdGraph:
     """Apply a validated rewiring; returns the canonical result.
 
-    Refuses to apply when validation fails, else reads the rewired degrees
-    off the moved rows.  Every row is then the stepwise row of its degree,
-    so the degrees stay non-increasing and the host's labels are the
-    result's stepwise labels.  A threshold degree sequence has one
-    realization, so the degrees fix the result, with the same vertex and
-    edge counts; ``from_degree_sequence`` raises NotThresholdError should a
-    move ever leave the class, ValueError should it reorder labels, and a
-    change of either count raises RuntimeError.
+    Refuses to apply when validation fails, else adds or takes away each
+    touched row's range width from its degree.  Every row is then the
+    stepwise row of its degree, so the degrees stay non-increasing and the
+    host's labels are the result's stepwise labels.  A threshold degree
+    sequence has one realization, so the degrees fix the result, with the
+    same vertex and edge counts; ``from_degree_sequence`` raises
+    NotThresholdError should a move ever leave the class, ValueError should
+    it reorder labels, and a change of either count raises RuntimeError.
     """
-    moved = _moved_rows(g, spec, explain=True)
-    if isinstance(moved, str):
-        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {moved}")
+    verdict = _verdict(g, spec, explain=True)
+    if verdict is not True:
+        raise InvalidTransformError(f"invalid {spec.kind} rewiring: {verdict}")
     deg = list(g.degree_sequence())
-    for v, row in moved.items():
-        deg[v - 1] = row.bit_count()
+    for v, lo, hi, fill in spec._row_edits:
+        deg[v - 1] += hi - lo + 1 if fill else lo - hi - 1
     after = from_degree_sequence(deg)
     if after.n != g.n or after.m != g.m:
         raise RuntimeError(f"{spec.text} took {g.text} (n={g.n}, m={g.m}) to {after.text} (n={after.n}, m={after.m})")

@@ -1,8 +1,10 @@
-"""Brute-force graph builders shared by the test modules, and two predicates on labeled graphs that only tests use."""
+"""Brute-force graph builders shared by the test modules, two predicates on labeled graphs
+that only tests use, and the bitmask-row reference for stepwise labels."""
 
+import functools
 import itertools
 
-from quasistar.graphs import LabeledGraph, ThresholdGraph, is_threshold_degrees
+from quasistar.graphs import DOMINATING, LabeledGraph, ThresholdGraph, is_threshold_degrees
 
 
 def threshold_graphs(n: int):
@@ -38,3 +40,43 @@ def is_threshold(g: LabeledGraph) -> bool:
 def is_connected(g: LabeledGraph) -> bool:
     """True iff g has one connected component."""
     return len(g.components()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Stepwise labels as bitmask rows, built without the package's degree rule
+# ---------------------------------------------------------------------------
+
+def bitrows(g: LabeledGraph) -> list[int]:
+    """Adjacency rows as bitmasks, bit v set iff adjacent to vertex v; index 0 is unused."""
+    rows = [0] * (g.n + 1)
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+def creation_index_labeling(g: ThresholdGraph) -> LabeledGraph:
+    """Reference stepwise labeling: creation steps sorted by (-degree, -index)."""
+    deg = g.creation_degrees()
+    order = sorted(range(g.n), key=lambda i: (-deg[i], -i))
+    rank = {pos: r + 1 for r, pos in enumerate(order)}
+    edges = []
+    for i, sym in enumerate(g.text):
+        if sym == DOMINATING:
+            edges.extend((rank[i], rank[j]) for j in range(i))
+    return LabeledGraph.from_edges(g.n, edges)
+
+
+@functools.lru_cache(maxsize=None)
+def stepwise_bitrows(g: ThresholdGraph) -> tuple[int, ...]:
+    """``bitrows`` of ``creation_index_labeling(g)``, once per graph."""
+    return tuple(bitrows(creation_index_labeling(g)))
+
+
+def stepwise_row(v: int, d: int) -> int:
+    """Bitmask of the prefix neighborhood of vertex v with degree d.
+
+    Vertex v is adjacent to 1..d, or to 1..d+1 except itself when v <= d.
+    """
+    reach = d + (v <= d)
+    return ((1 << (reach + 1)) - 2) & ~(1 << v)

@@ -128,9 +128,11 @@ def test_rho_bad_alpha(capsys):
 
 
 @pytest.mark.parametrize("alpha", ["1/0", "0.99999999999999999999"])
-@pytest.mark.parametrize("argv", [("rho", "IDD"), ("verify", "t41", "--n", "5", "--alpha")])
+@pytest.mark.parametrize("argv", [("rho", "IDD"), ("verify", "t41", "--n", "5", "--alpha"),
+                                  ("transform", "IDDDIID", "ROW 7 2 5 3 1", "--alpha")])
 def test_unusable_alpha_is_usage_error(capsys, argv, alpha):
     # 1/0 has no value; the long decimal is below 1 but its float is 1.0.
+    # A valid move must not print the rewired graph before its alpha fails.
     code, out, err = run(capsys, *argv, alpha)
     assert code == 2 and out == ""
     assert err.startswith("error:") and ("zero denominator" in err or "rounds to 1.0" in err)
@@ -189,9 +191,14 @@ def test_transform_row_instance(capsys):
     assert float(fields["residual_eq1"]) <= 1e-8
 
 
-def test_transform_invalid_is_diagnosed(capsys):
-    code, out, err = run(capsys, "transform", "IDDDDD", "BASIC 6 2 4 3", "--alpha", "1/2")
-    assert code == 2 and "vacant" in err
+@pytest.mark.parametrize("graph, spec, reason", [
+    pytest.param("IIIIID", "BASIC 5 2 4 3", "(iii): a[3,4] = 0, a removed cell is not an edge", id="removed-not-edge"),
+    pytest.param("IDDDDD", "BASIC 6 2 4 3", "(ii): a[2,6] = 1, a filled cell is not vacant", id="filled-not-vacant"),
+    pytest.param("IDDIID", "BASIC 6 2 4 3", "row 2 is not stepwise after the move", id="row-not-stepwise"),
+])
+def test_transform_invalid_is_diagnosed(capsys, graph, spec, reason):
+    code, out, err = run(capsys, "transform", graph, spec, "--alpha", "1/2")
+    assert (code, out, err) == (2, "", f"error: invalid BASIC rewiring: {reason}\n")
 
 
 # ---------------------------------------------------------------------------

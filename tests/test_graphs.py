@@ -21,20 +21,20 @@ from quasistar.graphs import (
     tilde_s,
     to_labeled,
 )
-from graph_builders import complete_graph, graph_union, is_threshold, threshold_graphs
+from graph_builders import (
+    bitrows,
+    complete_graph,
+    creation_index_labeling,
+    graph_union,
+    is_threshold,
+    stepwise_bitrows,
+    stepwise_row,
+    threshold_graphs,
+)
 
 
 def edges(g: LabeledGraph):
     return set(g.edges)
-
-
-def bitrows(g: LabeledGraph) -> list[int]:
-    """Adjacency rows as bitmasks, bit v set iff adjacent to vertex v."""
-    rows = [0] * (g.n + 1)
-    for u, v in g.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return rows
 
 
 def empty_graph(n: int) -> LabeledGraph:
@@ -135,23 +135,13 @@ def test_stepwise_property_all_n7():
         assert all(degs[i] >= degs[i + 1] for i in range(lab.n - 1))
 
 
-def creation_index_labeling(g):
-    """Reference stepwise labeling: creation steps sorted by (-degree, -index)."""
-    deg = g.creation_degrees()
-    order = sorted(range(g.n), key=lambda i: (-deg[i], -i))
-    rank = {pos: r + 1 for r, pos in enumerate(order)}
-    edges = []
-    for i, sym in enumerate(g.text):
-        if sym == DOMINATING:
-            edges.extend((rank[i], rank[j]) for j in range(i))
-    return LabeledGraph.from_edges(g.n, edges)
-
-
 def test_stepwise_rows_match_labeled_bitrows():
+    # The prefix rule on the package's degree sequence gives the rows of the reference labeling.
     for n in range(1, 10):
         for g in threshold_graphs(n):
             reference = creation_index_labeling(g)
-            assert list(g.stepwise_rows) == bitrows(reference)
+            rows = [0] + [stepwise_row(v, d) for v, d in enumerate(g.degree_sequence(), start=1)]
+            assert rows == bitrows(reference)
             assert to_labeled(g) == reference
 
 
@@ -160,7 +150,7 @@ def test_stepwise_edge_iff_column_within_degree():
     # u < v is an edge iff u <= deg(v).  Every graph with n <= 10, connected or not.
     for n in range(1, 11):
         for g in threshold_graphs(n):
-            rows, deg = g.stepwise_rows, (0,) + g.degree_sequence()
+            rows, deg = stepwise_bitrows(g), (0,) + g.degree_sequence()
             for v in range(2, n + 1):
                 for u in range(1, v):
                     assert bool(rows[v] >> u & 1) == (u <= deg[v]), (g.text, u, v)

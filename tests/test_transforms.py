@@ -14,7 +14,6 @@ from quasistar.graphs import (
     from_degree_sequence,
     l_graph,
     quasi_star,
-    stepwise_row,
     threshold_from_labeled,
     to_labeled,
 )
@@ -30,7 +29,13 @@ from quasistar.transforms import (
     validate,
 )
 
-from graph_builders import connected_threshold_graphs, is_threshold, threshold_graphs
+from graph_builders import (
+    connected_threshold_graphs,
+    is_threshold,
+    stepwise_bitrows,
+    stepwise_row,
+    threshold_graphs,
+)
 
 HALF = Fraction(1, 2)
 
@@ -154,7 +159,7 @@ def _none_set(row: int, lo: int, hi: int) -> bool:
 
 
 def validate_by_clauses(g, spec):
-    """Check the adjacency conditions of the rewiring on g's stepwise matrix.
+    """Check the adjacency conditions of the rewiring on g's stepwise matrix, read off the reference labeling.
 
     Returns None when the move is valid, else the first violated clause.
     Raises ValueError when indices exceed the host size.
@@ -163,7 +168,7 @@ def validate_by_clauses(g, spec):
         raise ValueError(f"index p={spec.p} out of range for n={g.n}")
     if not g.is_connected:
         return "host graph is not connected"
-    rows = g.stepwise_rows
+    rows = stepwise_bitrows(g)
     p, q, h, k, l = spec.p, spec.q, spec.h, spec.k, spec.l
 
     if spec.kind == "BASIC":
@@ -267,10 +272,11 @@ def test_rejection_reasons_match_pinned_digest():
 
 def validate_by_rows(g, spec):
     """The stepwise row rule, row by row: every removed cell an edge, every
-    filled cell vacant, every touched row again the prefix row of its degree."""
+    filled cell vacant, every touched row again the prefix row of its degree.
+    The rows are the reference labeling's, not the package's degrees."""
     if not g.is_connected:
         return False
-    rows = list(g.stepwise_rows)
+    rows = list(stepwise_bitrows(g))
     for cells, present in ((spec.removals(), True), (spec.additions(), False)):
         for u, v in cells:
             if bool(rows[v] >> u & 1) != present:
@@ -292,6 +298,22 @@ def test_bitboard_cell_tests_match_row_rule():
                 pairs += 1
                 valid += expected
     assert (pairs, valid) == (86552, 651)
+
+
+def test_each_touched_row_loses_or_gains_one_range_without_itself():
+    # The degree rule reads a row's move as one column range; check that premise past the verdict sweeps' n.
+    for n in range(4, 15):
+        for kind in ("BASIC", "ROW", "COL"):
+            for spec in (s for dk in (1, 2, 3) for s in candidate_specs(n, kind, dk)):
+                cells = {}
+                for fill, moved in ((False, spec.removals()), (True, spec.additions())):
+                    for u, v in moved:
+                        cells.setdefault(u, set()).add((v, fill))
+                        cells.setdefault(v, set()).add((u, fill))
+                edits = spec._row_edits
+                assert [v for v, *_ in edits] == sorted(cells), spec.text
+                for v, lo, hi, fill in edits:
+                    assert cells[v] == {(c, fill) for c in range(lo, hi + 1)} and not lo <= v <= hi, spec.text
 
 
 def test_validate_index_out_of_range():
