@@ -34,8 +34,9 @@ Families provided here, for n vertices and m edges:
   clique with a star plus isolated vertices, where k is the largest integer
   below n with m >= sum_{i=1..k} (n-i) and a is the remainder (the clique
   split).
-* ``l_graph``     L(n,m)  = the "clique behind one universal vertex" family
-  parametrised by kbar, abar, which ``l_graph`` works out itself.
+* ``l_graph``     L(n,m)  = K_1 v complement(S(n-1, C(n-1,2) - (m-n+1))), a
+  dominating vertex over the complement of a quasi-star: S's creation string
+  with I and D swapped after its first symbol, then one ``D``.
 * ``tilde_s``     S~(n,m) = K_k v (K_3 u (n-k-3) K_1), defined only when
   m = k*n - k(k+1)/2 + 3 for an integer k >= 0 with n-k-3 >= 0: S's clique
   split of m - 3 with no remainder.
@@ -263,37 +264,34 @@ def _with_edges(g: ThresholdGraph, m: int) -> ThresholdGraph:
     return g
 
 
+def _quasi_star_text(n: int, m: int) -> str:
+    """S(n,m)'s creation string, for every 0 <= m <= n(n-1)/2, connected or not."""
+    k, a = _clique_split(n, m)
+    if a > 0:
+        return "I" * a + "D" + "I" * (n - a - k - 1) + "D" * k
+    return "I" * (n - k) + "D" * k
+
+
 def quasi_star(n: int, m: int) -> ThresholdGraph:
     """S(n,m): a k-clique joined to a star K_{1,a} plus isolated vertices."""
     _check_size(n, m)
-    k, a = _clique_split(n, m)
-    tail = n - a - k - 1
-    if a > 0:
-        text = "I" * a + "D" + "I" * tail + "D" * k
-    else:
-        text = "I" * (n - k) + "D" * k
-    return _with_edges(ThresholdGraph(text), m)
+    return _with_edges(ThresholdGraph(_quasi_star_text(n, m)), m)
 
 
 def l_graph(n: int, m: int) -> ThresholdGraph:
-    """L(n,m): one universal vertex over a clique-plus-pendant arrangement.
+    """L(n,m): a dominating vertex over the complement of a quasi-star.
 
-    kbar is the largest integer with m-n+1 >= sum_{i=1..kbar-1} i, and abar
-    the remainder: behind the universal vertex sit a kbar-clique, one vertex
-    joined to abar of its vertices (when abar > 0), and isolated vertices.
+    The other n - 1 vertices carry m - n + 1 edges, so they are the complement
+    of S(n-1, C(n-1,2) - (m-n+1)), whose creation string is S's with I and D
+    swapped after its first symbol.  Complementing K_k v (K_{1,a} u t K_1)
+    leaves an (a+t)-clique, one vertex joined to t of it, and k isolated
+    vertices, which the dominating vertex turns into pendants.
     """
     _check_size(n, m)
     if n == 1:
         return ThresholdGraph("I")
-    kb, ab = 1, m - n + 1
-    while ab >= kb:
-        ab -= kb
-        kb += 1
-    if ab == 0:
-        text = "I" + "D" * (kb - 1) + "I" * (n - kb - 1) + "D"
-    else:
-        text = "I" + "D" * (kb - ab - 1) + "I" + "D" * ab + "I" * (n - kb - 2) + "D"
-    return _with_edges(ThresholdGraph(text), m)
+    rest = _quasi_star_text(n - 1, (n - 1) * (n - 2) // 2 - (m - n + 1))
+    return _with_edges(ThresholdGraph("I" + rest[1:].translate(str.maketrans("ID", "DI")) + "D"), m)
 
 
 def tilde_s(n: int, m: int) -> ThresholdGraph:

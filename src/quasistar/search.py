@@ -214,11 +214,6 @@ def edge_key(g: LabeledGraph) -> str:
     return ".".join(f"{u}{v}" for u, v in sorted(g.edges)) or "-"
 
 
-def _mask_key(mask: int, n: int) -> str:
-    """``edge_key`` of the graph of an edge bitmask, read off its bits: ``_pairs(n)`` is already sorted."""
-    return ".".join(f"{u}{v}" for ei, (u, v) in enumerate(_pairs(n)) if mask >> ei & 1) or "-"
-
-
 def enumerate_all(family: FamilySpec):
     """Yield one representative per isomorphism class of the ALL family."""
     if family.universe != ALL:
@@ -454,7 +449,7 @@ def _all_reports(families, alpha: Fraction) -> list[VerificationReport]:
     reduction.add(masks[seed], dense_spectra(mats[seed])[0], home[seed])
     rest = ~seed & ~reduction.proved_below(home, lambda x: definite_above(mats, x))
     reduction.add(masks[rest], dense_spectra(mats[rest])[0], home[rest])
-    return list(reduction.reports(families, alpha, lambda mask: _mask_key(int(mask), n)))
+    return list(reduction.reports(families, alpha, lambda mask: edge_key(_labeled_from_mask(int(mask), n))))
 
 
 def predicted_maximizers(n: int, m: int, alpha) -> set[str]:

@@ -138,6 +138,35 @@ def test_unusable_alpha_is_usage_error(capsys, argv, alpha):
     assert err.startswith("error:") and ("zero denominator" in err or "rounds to 1.0" in err)
 
 
+EDGE_LIST_ERRORS = {
+    "3\n1 2\n": "edge-list header must be 'n m', got '3'",
+    "3 1\n1 2 3\n": "bad edge line '1 2 3'",
+    "0 0\n": "need at least one vertex",
+    "3 1\n1 5\n": "edge (1,5) out of range 1..3",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((("rho", text, "1/2"), message) for text, message in EDGE_LIST_ERRORS.items()),
+    (("verify", "t41", "--n", "5..3"), "empty range '5..3'"),
+    (("construct", "quasi-star", "5"), "construct quasi-star needs n and m"),
+    (("construct", "from-seq"), "construct from-seq needs one creation sequence"),
+    (("construct", "from-degseq"), "construct from-degseq needs a degree list such as 5,5,2,2,2,2"),
+    (("construct", "from-degseq", ","), "degree sequence must be non-empty"),
+    (("verify", "t41", "--n", "3"), "sparse-band verification needs n >= 4"),
+    (("verify", "t12", "--n", "3"), "needs n >= 4 so that m = 2n-2 is feasible"),
+    (("verify", "t42", "--r", "2", "--n", "10"), "band verification needs r >= 3"),
+    (("transform", "IDD", ""), "empty rewiring spec"),
+])
+def test_unusable_input_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
+    # A rho case names an edge-list file holding the text in its graph slot.
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "rho":
+        Path("g.txt").write_text(argv[1])
+        argv = ("rho", "g.txt", *argv[2:])
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_rho_bad_graph_token(capsys):
     code, _, err = run(capsys, "rho", "no-such-file.txt", "1/2")
     assert code == 2 and err.startswith("error:")

@@ -43,6 +43,7 @@ from quasistar.spectra import (
     same_radius,
     spectral_radius,
 )
+from quasistar.transforms import candidate_specs
 from graph_builders import is_connected, is_threshold, threshold_graphs
 
 HALF = Fraction(1, 2)
@@ -223,13 +224,9 @@ PINNED_CLASS_DIGESTS = {
 
 
 def test_graph_classes_match_pinned_digest():
-    # Every class representative, hence every edge_key printed, is unchanged;
-    # a scan's report keys, read off the mask bits, are those edge_keys.
+    # Every class representative, hence every edge_key printed, is unchanged.
     for n, digest in PINNED_CLASS_DIGESTS.items():
-        classes = search._graph_classes(n)
-        assert hashlib.sha256(repr(classes).encode()).hexdigest() == digest
-        for mask in itertools.chain.from_iterable(classes):
-            assert search._mask_key(mask, n) == edge_key(search._labeled_from_mask(mask, n)), (n, mask)
+        assert hashlib.sha256(repr(search._graph_classes(n)).encode()).hexdigest() == digest
 
 
 def test_perm_weights_are_exact_in_float32():
@@ -817,6 +814,20 @@ def test_threshold_dominance_rejects_infeasible_families(n, m):
 def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message):
     with pytest.raises(ValueError, match=message):
         verify_threshold_dominance([n], [HALF])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LabeledGraph.from_edges(3, [(2, 2)]), "loop at vertex 2"),
+    (lambda: list(enumerate_all(FamilySpec(5, 6))), "enumerate_all needs an ALL family"),
+    (lambda: threshold_argmax([FamilySpec(6, 8), FamilySpec(7, 8)], HALF),
+     "the threshold walk needs THRESHOLD families of one order and connectivity"),
+    (lambda: list(candidate_specs(6, "DIAG")), "kind must be one of ('BASIC', 'ROW', 'COL'), got 'DIAG'"),
+    (lambda: quasi_star(0, 0), "need n >= 1"),
+])
+def test_api_input_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 DOMINANCE_ALPHAS = [Fraction(0), Fraction(1, 100), Fraction(1, 4), HALF, Fraction(3, 5), Fraction(3, 4), Fraction(9, 10),

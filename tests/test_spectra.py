@@ -155,6 +155,14 @@ def test_disconnected_radius_is_max_over_components():
         assert whole == pytest.approx(parts, abs=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(3, 4)])
+def test_equal_component_radii_go_to_the_smallest_vertex(alpha):
+    # Two disjoint triangles have the same radius; the Perron vector lives on the one holding vertex 1.
+    spec = spectral_radius(graph_union(complete_graph(3), complete_graph(3)), alpha)
+    assert spec.perron[3:].tolist() == [0.0, 0.0, 0.0]
+    assert spec.perron[:3] == pytest.approx([3 ** -0.5] * 3)
+
+
 def test_empty_graph_radius_zero():
     g = LabeledGraph.from_edges(4, [])
     spec = spectral_radius(g, HALF)
