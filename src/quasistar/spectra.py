@@ -90,8 +90,8 @@ def as_alpha(value) -> Fraction:
     Accepts Fraction (returned as is), int, or a string such as ``"1/2"`` or
     ``"0.75"`` (the decimal is converted to the exact rational of its literal
     digits).  Floats are rejected to keep the alpha = 1/2 equality test exact.
-    A zero denominator, and an alpha below 1 whose float is 1.0 (matrix
-    assembly would drop A entirely), raise ValueError.
+    A zero denominator, or an alpha whose float is 1.0 (A would drop out) or
+    0.5 without being 1/2 (solved as 1/2, tied as itself), raises ValueError.
     """
     if isinstance(value, float):
         raise TypeError("alpha must be an exact rational (Fraction, int, or string), not float")
@@ -105,6 +105,8 @@ def as_alpha(value) -> Fraction:
     # Exact integer tests: num/den rounds half-even to 1.0 iff 1 - alpha <= 2**-54.
     if (den - num) << 54 <= den:
         raise ValueError(f"alpha {alpha} is below 1 but rounds to 1.0 as a float, so 1 - alpha would be 0")
+    if den != 2 and num / den == 0.5:  # int / int rounds correctly, with no Fraction arithmetic
+        raise ValueError(f"alpha {alpha} is not 1/2 but rounds to 0.5 as a float, so it would be solved as 1/2")
     return alpha
 
 

@@ -127,15 +127,15 @@ def test_rho_bad_alpha(capsys):
     assert code == 2 and "alpha" in err
 
 
-@pytest.mark.parametrize("alpha", ["1/0", "0.99999999999999999999"])
+@pytest.mark.parametrize("alpha", ["1/0", "0.99999999999999999999", "0.50000000000000000001"])
 @pytest.mark.parametrize("argv", [("rho", "IDD"), ("verify", "t41", "--n", "5", "--alpha"),
                                   ("transform", "IDDDIID", "ROW 7 2 5 3 1", "--alpha")])
 def test_unusable_alpha_is_usage_error(capsys, argv, alpha):
-    # 1/0 has no value; the long decimal is below 1 but its float is 1.0.
+    # 1/0 has no value; the long decimals are not 1 and 1/2 but their floats are.
     # A valid move must not print the rewired graph before its alpha fails.
     code, out, err = run(capsys, *argv, alpha)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and ("zero denominator" in err or "rounds to 1.0" in err)
+    assert err.startswith("error:") and any(s in err for s in ("zero denominator", "rounds to 1.0", "not 1/2"))
 
 
 EDGE_LIST_ERRORS = {

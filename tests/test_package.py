@@ -1,4 +1,5 @@
-"""Import-time behaviour of the package: BLAS runs on one thread unless the caller chose."""
+"""Import-time behaviour of the package: BLAS runs on one thread unless the caller chose,
+and the objects that exist after the import are frozen out of the collector."""
 
 import json
 import os
@@ -45,6 +46,20 @@ def test_caller_thread_count_wins(var):
     expected = dict.fromkeys(BLAS_THREAD_VARS)
     expected[var] = "2"
     assert child_blas_vars(**{var: "2"}) == expected
+
+
+def test_import_freezes_what_it_made():
+    assert int(import_in_child("import gc; print(gc.get_freeze_count())")) > 0
+
+
+def test_garbage_made_after_the_import_is_still_collected():
+    # A two-list cycle made after the freeze must still be found and freed.
+    code = (
+        "import gc, weakref\ngc.disable()\nclass Node(list): pass\n"
+        "a, b = Node(), Node(); a.append(b); b.append(a); gone = weakref.ref(a); del a, b\n"
+        "print(gc.collect() >= 2, gone() is None)"
+    )
+    assert import_in_child(code) == "True True\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -764,6 +764,12 @@ def test_verify_all_graphs_2n2_small():
     assert at5.maximizer_set == (quasi_star(5, 8).text,)
 
 
+def test_near_tie_warning_names_the_gap():
+    # At alpha = 99/100 the best non-maximizer of the m = 11 family comes within 1e-6.
+    warned = {r.family.m: r.warnings for r in verify_sparse_band([9], [Fraction(99, 100)]) if r.warnings}
+    assert warned == {11: ("near-tie: best non-maximizer within 7.316e-07 of the maximum",)}
+
+
 def test_clique_band_hypothesis_bound_formula():
     assert clique_band_hypothesis_bound(3) == pytest.approx((27 + 5 * 17 ** 0.5) / 2)
 

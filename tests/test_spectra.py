@@ -73,6 +73,19 @@ def test_as_alpha_fraction_path_keeps_its_errors():
     assert float(as_alpha(Fraction(2**53 - 1, 2**53))) < 1.0
 
 
+def test_as_alpha_rejects_an_alpha_whose_float_is_one_half():
+    # Solved as 1/2 but tied as itself, such an alpha would contradict its own verdict.
+    with pytest.raises(ValueError, match="not 1/2"):
+        as_alpha("0.50000000000000000001")
+    # 0.5 is even, so both midpoints next to it round half-even onto it.
+    for bad in (Fraction(2**53 + 1, 2**54), Fraction(2**54 - 1, 2**55)):
+        with pytest.raises(ValueError, match="not 1/2"):
+            as_alpha(bad)
+    for good in (Fraction(2**52 + 1, 2**53), Fraction(2**53 - 1, 2**54)):
+        assert as_alpha(good) is good and float(good) != 0.5
+    assert as_alpha("0.5") == HALF
+
+
 def test_alpha_matrix_k2():
     mat = alpha_matrix(complete_graph(2), HALF)
     assert np.array_equal(mat, np.array([[0.5, 0.5], [0.5, 0.5]]))

@@ -466,13 +466,19 @@ def rule_by_fractions(spec, alpha):
 
 
 def test_rule_at_and_around_one_half_matches_fraction_comparisons():
-    # 1/2 + 10^-30 and 1/2 - 10^-30 both have the float 0.5, so only the exact
-    # sign of alpha - 1/2 tells them apart.  Every valid move with n <= 7 at
-    # dk = 1, 2, 3 covers both rules, the equality shape and the uncovered.
+    # 1/2 + 10^-30 and 1/2 - 10^-30 both have the float 0.5, so they would be
+    # solved as 1/2 but ruled on as themselves: certify refuses them.  The
+    # nearest alphas it accepts have the floats next to 0.5 on either side.
+    # Every valid move with n <= 7 at dk = 1, 2, 3 covers both rules, the
+    # equality shape and the uncovered.
     tiny = Fraction(1, 10**30)
-    alphas = (HALF, HALF + tiny, HALF - tiny, Fraction(0), Fraction(49, 100), Fraction(51, 100))
-    assert float(HALF + tiny) == float(HALF - tiny) == 0.5
+    above, below = HALF + Fraction(1, 2**53), HALF - Fraction(1, 2**54)
+    alphas = (HALF, above, below, Fraction(0), Fraction(49, 100), Fraction(51, 100))
+    assert float(below) < 0.5 < float(above)
     moves = [move for dk in (1, 2, 3) for move in valid_instances(7, dk=dk)]
+    for alpha in (HALF + tiny, HALF - tiny):
+        with pytest.raises(ValueError, match="not 1/2"):
+            certify(*moves[0], alpha)
     seen = set()
     for g, spec in moves:
         for alpha in alphas:
