@@ -14,17 +14,18 @@ subgraphs of its supergraph, and M_alpha grows entrywise with the edge set, so
 a node goes when ``count_above`` proves that supergraph has no eigenvalue
 above x.
 
-General graphs are enumerated once per order (n <= 7) up to isomorphism by
-orderly generation from K_n down to half the possible edges, and below that
-as complements; the canonical form of an edge-subset bitmask is its minimum
-over all vertex permutations, one float32 product of its edge bits with a
-precomputed permutation/weight table, after a test against the transpositions
-alone.  Repeated boolean squaring marks each order's connected classes.  An
-``ALL`` scan takes families of one order and reads only their edge counts'
-classes: one ``dense_spectra`` call solves each family's seeds, its classes of
-largest Rayleigh quotient at the degree vector, and one more the classes that
-``definite_above`` does not prove below the family's x; disconnected ones
-(only without ``connected_only``) go through ``spectral_radius``.
+General graphs (n <= 7) come up to isomorphism from a generated table,
+``_classes.CLASSES``: per order and edge count, the least-image bitmask of each
+class, in hex.  The tests rebuild it by orderly generation (Read, 1978) and
+compare the texts byte for byte, pin a digest per order and recount the
+labeled graphs from the automorphism orbits; ``PYTHONPATH=src python
+tests/graph_builders.py`` regenerates it.  Repeated boolean squaring marks
+each order's connected classes.  An ``ALL`` scan takes families of one order
+and reads only their edge counts' classes: one ``dense_spectra`` call solves
+each family's seeds, its classes of largest Rayleigh quotient at the degree
+vector, and one more the classes that ``definite_above`` does not prove below
+the family's x; disconnected ones (only without ``connected_only``) go
+through ``spectral_radius``.
 
 One reduction per scan keeps each family's maximizers, tie gap, near-tie
 warning and best non-maximizer, whose radius less 1e-6 is the scan's x.  The
@@ -43,6 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._classes import CLASSES
 from .graphs import (
     DOMINATING,
     ISOLATED,
@@ -123,65 +125,11 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _perm_weights(n: int) -> np.ndarray:
-    """Row per vertex permutation: weight 2^(image slot) per edge slot; row 0 is the identity, rows 1..n(n-1)/2 the transpositions.
-
-    A graph bitmask b maps under permutation row w to sum(w[e] for e in b).
-    Every image is below 2^21 (n <= 7), inside float32's 24-bit significand,
-    so the float32 table and its products are exact.
-    """
-    ends = np.array(_pairs(n), dtype=np.intp).reshape(-1, 2) - 1
-    perms = np.zeros((1, 0), dtype=np.int8)
-    for k in range(n):  # insert vertex k at each position of every permutation of 0..k-1
-        perms = np.concatenate([np.insert(perms, at, k, axis=1) for at in range(k + 1)])
-    perms = perms[np.argsort((perms != np.arange(n)).sum(axis=1), kind="stable")]  # by points moved: 0, 2, then more
-    x, y = perms[:, ends[:, 0]], perms[:, ends[:, 1]]
-    lo, hi = np.minimum(x, y).astype(np.int16), np.maximum(x, y).astype(np.int16)
-    # Pair (lo, hi), 0-based, is slot lo*(2n-1-lo)/2 + hi-lo-1 of combinations order.
-    slot = lo * (2 * n - 1 - lo) // 2 + hi - lo - 1
-    return np.ldexp(np.float32(1), slot)
-
-
-def _canonical_many(masks, n: int, chunk: int = 64) -> list[int]:
-    """Canonical form (minimum relabeling) of each bitmask in masks.
-
-    Chunks of 64 keep the (chunk x n!) float32 product at 1.3 MB for n = 7; it sets a lemma24 run's peak RSS.
-    """
-    weights = _perm_weights(n)
-    rows = _rows(masks, weights.shape[1]).astype(np.float32)
-    out = []
-    for lo in range(0, len(masks), chunk):
-        out.extend((rows[lo : lo + chunk] @ weights.T).min(axis=1).astype(np.int64).tolist())
-    return out
-
-
-def _graph_classes(n: int):
-    """Canonical bitmasks of all isomorphism classes, indexed by edge count, generated orderly (Read, 1978).
-
-    A least image with its lowest vacant slot filled is a least image, so each class with m - 1 edges is met
-    once: as the child of the class with m edges that drops an edge below that class's lowest vacancy.
-    """
-    FamilySpec(n, 0, connected_only=False, universe=ALL)  # raises unless 1 <= n <= MAX_EXHAUSTIVE_N
-    top = n * (n - 1) // 2
-    bits, full = 1 << np.arange(top, dtype=np.int64), (1 << top) - 1
-    swaps = _perm_weights(n)[1 : top + 1].T
-    down = [(full,)]  # down[j]: the classes with top - j edges
-    for _ in range(top // 2):
-        parents = np.array(down[-1], dtype=np.int64)[:, None]
-        kids = (parents ^ bits)[bits < (~parents & parents + 1)]  # drop an edge below the lowest vacancy
-        kids = kids[(_rows(kids, top).astype(np.float32) @ swaps >= kids[:, None]).all(axis=1)]  # no transposition lowers it
-        down.append(tuple(sorted(kids[kids == _canonical_many(kids, n)].tolist())))
-    # Complementing maps the classes with m edges one to one onto those with
-    # top - m, so the lower half costs a canonical form per class.
-    up = [tuple(sorted(_canonical_many([full ^ c for c in down[m]], n))) for m in range(top + 1 - len(down))]
-    return tuple(up) + tuple(reversed(down))
-
-
-@lru_cache(maxsize=None)
 def _order_classes(n: int):
-    """Every class of order n: bitmasks, connectivity and where each edge count starts."""
-    levels = _graph_classes(n)
-    masks = np.array([mask for level in levels for mask in level], dtype=np.int64)
+    """Every class of order n, read from ``CLASSES``: bitmasks, connectivity and where each edge count starts."""
+    FamilySpec(n, 0, connected_only=False, universe=ALL)  # raises unless 1 <= n <= MAX_EXHAUSTIVE_N
+    levels = [level.split() for level in CLASSES[n]]
+    masks = np.array([int(mask, 16) for level in levels for mask in level], dtype=np.int64)
     return masks, _connected(_adjacency(masks, n)), np.cumsum([0] + [len(level) for level in levels]).tolist()
 
 

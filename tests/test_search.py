@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,9 @@ from quasistar.spectra import (
     spectral_radius,
 )
 from quasistar.transforms import candidate_specs
-from graph_builders import is_connected, is_threshold, threshold_graphs
+import graph_builders
+from graph_builders import is_connected, is_threshold, render_classes, threshold_graphs
+from quasistar import _classes
 
 HALF = Fraction(1, 2)
 
@@ -210,8 +213,14 @@ def test_enumeration_is_complete_by_orbit_counting():
         assert len(connected) == KNOWN_CONNECTED_COUNTS[n]
 
 
+def table_levels(n: int):
+    """The parsed class table of order n as ``_graph_classes`` returns it: per edge count, a tuple of bitmasks."""
+    masks, _, starts = search._order_classes(n)
+    return tuple(tuple(masks[lo:hi].tolist()) for lo, hi in zip(starts, starts[1:]))
+
+
 # sha256 of repr(_graph_classes(n)), taken from the float64 table and the
-# per-bit column loop that the float32 product replaced.
+# per-bit column loop that the float32 product replaced; the parsed table must match.
 PINNED_CLASS_DIGESTS = {
     1: "efd70b49446e8be6bedf3dfe219a88a352831f684dce5d48505e29b260989f2b",
     2: "7b0d574730ade655e7410b09ecdb1fb6d94c828aa7f38657aa188e838149cee9",
@@ -224,18 +233,28 @@ PINNED_CLASS_DIGESTS = {
 
 
 def test_graph_classes_match_pinned_digest():
-    # Every class representative, hence every edge_key printed, is unchanged.
+    # Every class representative the package reads from its table, hence every edge_key printed, is unchanged.
     for n, digest in PINNED_CLASS_DIGESTS.items():
-        assert hashlib.sha256(repr(search._graph_classes(n)).encode()).hexdigest() == digest
+        assert hashlib.sha256(repr(table_levels(n)).encode()).hexdigest() == digest
+
+
+def test_class_table_is_its_generators_output():
+    # The checked-in table is byte for byte what the orderly generator renders.
+    assert Path(_classes.__file__).read_bytes() == render_classes().encode()
+
+
+def test_class_table_refuses_orders_above_seven():
+    with pytest.raises(ValueError, match="limited to n <= 7"):
+        search._order_classes(8)
 
 
 def test_perm_weights_are_exact_in_float32():
     for n in range(1, 8):
-        weights = search._perm_weights(n)
+        weights = graph_builders._perm_weights(n)
         assert weights.dtype == np.float32 and weights.shape == (math.factorial(n), n * (n - 1) // 2)
     # Every image mask is a sum of distinct weights, so it is below 2^21.
-    assert search._perm_weights(7).max() < 2**24
-    assert np.all(search._perm_weights(7).astype(np.int64).sum(axis=1) < 2**21)
+    assert graph_builders._perm_weights(7).max() < 2**24
+    assert np.all(graph_builders._perm_weights(7).astype(np.int64).sum(axis=1) < 2**21)
 
 
 def permutation_minimum(mask: int, n: int) -> int:
@@ -255,15 +274,15 @@ def test_canonical_many_matches_permutation_minimum(n, count):
     rng = np.random.default_rng(7 * n)
     masks = [0, (1 << top) - 1] + rng.integers(0, 1 << top, size=count).tolist()
     expected = [permutation_minimum(mask, n) for mask in masks]
-    assert search._canonical_many(masks, n) == expected
-    assert search._canonical_many(masks, n, chunk=3) == expected
+    assert graph_builders._canonical_many(masks, n) == expected
+    assert graph_builders._canonical_many(masks, n, chunk=3) == expected
 
 
 def test_filling_the_lowest_vacancy_of_a_class_gives_a_class():
     # The lemma behind the orderly generator: each class below K_n is the
     # canonical child of exactly one class with one more edge.
     for n in range(1, 8):
-        levels = search._graph_classes(n)
+        levels = graph_builders._graph_classes(n)
         for m, level in enumerate(levels[:-1]):
             above = set(levels[m + 1])
             assert all(mask | (~mask & mask + 1) in above for mask in level), (n, m)
@@ -271,9 +290,9 @@ def test_filling_the_lowest_vacancy_of_a_class_gives_a_class():
 
 def test_orderly_generation_canonicalises_few_masks(monkeypatch):
     seen = []
-    canonical_many = search._canonical_many
-    monkeypatch.setattr(search, "_canonical_many", lambda masks, n: seen.append(len(masks)) or canonical_many(masks, n))
-    classes = search._graph_classes(7)
+    canonical_many = graph_builders._canonical_many
+    monkeypatch.setattr(graph_builders, "_canonical_many", lambda masks, n: seen.append(len(masks)) or canonical_many(masks, n))
+    classes = graph_builders._graph_classes(7)
     assert sum(map(len, classes)) == KNOWN_CLASS_COUNTS[7]
     # The augment-and-dedup generator canonicalised 4,916 masks, and the
     # orderly one 1,962 before kids met the transpositions first.
@@ -287,12 +306,12 @@ def test_transposition_pretest_keeps_every_class():
         top = n * (n - 1) // 2
         _, weights = relabel_weights(n)
         moved = [sum(p[v] != v for v in range(n)) for p in itertools.permutations(range(n))]
-        table = search._perm_weights(n)
+        table = graph_builders._perm_weights(n)
         assert table[0].tolist() == [2.0**e for e in range(top)]
         assert sorted(map(tuple, table[1 : top + 1].tolist())) == sorted(
             tuple(row) for row, k in zip(weights.tolist(), moved) if k == 2
         )
-        masks = np.array([mask for level in search._graph_classes(n) for mask in level])
+        masks = np.array([mask for level in graph_builders._graph_classes(n) for mask in level])
         assert np.all(search._rows(masks, top) @ table[1 : top + 1].T >= masks[:, None]), n
 
 
