@@ -156,9 +156,9 @@ EDGE_LIST_ERRORS = {
     (("verify", "t41", "--n", "3"), "sparse-band verification needs n >= 4"),
     (("verify", "t12", "--n", "3"), "needs n >= 4 so that m = 2n-2 is feasible"),
     (("verify", "t42", "--r", "2", "--n", "10"), "band verification needs r >= 3"),
+    (("transform", "IDD", ""), "empty rewiring spec"),
     (("enumerate", "8", "3", "--universe", "all"), "exhaustive isomorphism-free enumeration is limited to n <= 7"),
     (("verify", "lemma24", "--n", "8"), "exhaustive isomorphism-free enumeration is limited to n <= 7"),
-    (("transform", "IDD", ""), "empty rewiring spec"),
 ])
 def test_unusable_input_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
     # A rho case names an edge-list file holding the text in its graph slot.
