@@ -41,10 +41,8 @@ from .search import (
     enumerate_threshold,
     predicted_maximizers,
     threshold_dominance_report,
-    verify_all_graphs_2n2,
+    verify,
     verify_clique_band,
-    verify_sparse_band,
-    verify_threshold_dominance,
 )
 from .spectra import (
     NonConvergenceError,

@@ -8,6 +8,9 @@ whose name is over {I, D} is read as ``./did``.
 ``rho`` solves a sequence by the threshold kernel and a file by the dense
 path, even when the file's graph is threshold (``spectral_radius`` picks).
 alpha arguments are exact rationals, e.g. ``1/2`` or ``0.75``.
+``verify``'s targets are the rows of ``search.CLAIMS``: a row gives the
+target's default ``--n`` and ``--alpha``, whether it takes ``--r``, and
+whether its alpha is fixed at 1/2, so that it refuses ``--alpha``.
 
 Verification reports are emitted one record per line in a fixed field order::
 
@@ -48,15 +51,13 @@ from .graphs import (
 )
 from .search import (
     ALL,
+    CLAIMS,
     THRESHOLD,
     FamilySpec,
     edge_key,
     enumerate_all,
     enumerate_threshold,
-    verify_all_graphs_2n2,
-    verify_clique_band,
-    verify_sparse_band,
-    verify_threshold_dominance,
+    verify,
 )
 from .spectra import NonConvergenceError, as_alpha, spectral_radius
 from .transforms import (
@@ -69,6 +70,7 @@ from .transforms import (
 USAGE_ERROR = 2
 NONCONVERGENCE = 3
 BROKEN_PIPE = 141
+_BANDED = ", ".join(target for target, claim in CLAIMS.items() if claim.least_r is not None)  # the targets with --r
 
 
 def _fmt(x: float) -> str:
@@ -177,28 +179,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.r is not None and args.target != "t42":
-        raise ValueError(f"verify {args.target} takes no --r; only t42 has a band parameter")
-    if args.alpha is not None and args.target == "t12":
-        raise ValueError("verify t12 checks alpha = 1/2 only and takes no --alpha")
-    if args.target == "t41":
-        n_values = _parse_range(args.n or "4..12")
-        alphas = _parse_alphas(args.alpha or "1/2,3/4")
-        reports = verify_sparse_band(n_values, alphas)
-    elif args.target == "t12":
-        n_values = _parse_range(args.n or "4..16")
-        reports = verify_all_graphs_2n2(n_values)
-    elif args.target == "t42":
-        if args.r is None:
-            raise ValueError("verify t42 needs --r")
-        alphas = _parse_alphas(args.alpha or "1/2,3/4")
-        reports = []
-        for n in _parse_range(args.n or "24"):
-            reports.extend(verify_clique_band(args.r, n, alphas))
-    elif args.target == "lemma24":
-        reports = verify_threshold_dominance(_parse_range(args.n or "4..7"), _parse_alphas(args.alpha or "0,1/2,3/4"))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verification target {args.target!r}")
+    claim = CLAIMS[args.target]
+    if args.r is not None and claim.least_r is None:
+        raise ValueError(f"verify {args.target} takes no --r; only {_BANDED} has a band parameter")
+    if args.alpha is not None and claim.alphas is None:
+        raise ValueError(f"verify {args.target} checks alpha = 1/2 only and takes no --alpha")
+    if args.r is None and claim.least_r is not None:
+        raise ValueError(f"verify {args.target} needs --r")
+    n_values, alphas = _parse_range(args.n or claim.n), _parse_alphas(args.alpha or claim.alphas or "1/2")
+    reports = verify(args.target, n_values, alphas, args.r)
     if not reports:
         raise ValueError(f"verify {args.target}: the sweep selects no family, nothing was checked")
 
@@ -260,10 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run an extremal verification sweep")
-    p.add_argument("target", choices=("t41", "t12", "t42", "lemma24"))
+    p.add_argument("target", choices=tuple(CLAIMS))
     p.add_argument("--n", default=None, help="order or range, e.g. 6..12")
-    p.add_argument("--alpha", default=None, help="comma list, e.g. 1/2,3/4; not for t12")
-    p.add_argument("--r", type=int, default=None, help="band parameter; t42 only")
+    p.add_argument("--alpha", default=None, help="comma list, e.g. 1/2,3/4; not for "
+                   + ", ".join(target for target, claim in CLAIMS.items() if claim.alphas is None))
+    p.add_argument("--r", type=int, default=None, help=f"band parameter; {_BANDED} only")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -29,10 +29,11 @@ through ``spectral_radius``.
 
 One reduction per scan keeps each family's maximizers, tie gap, near-tie
 warning and best non-maximizer, whose radius less 1e-6 is the scan's x.  The
-``verify_*`` drivers make one walk per (n, alpha) and compare the found
-maximizer sets against the predicted ones (the quasi-star, with the S~ tie at
-alpha = 1/2 where it exists); ``verify_threshold_dominance`` reads Lemma 2.4
-from one ``ALL`` scan per (n, alpha): every maximizer is threshold.
+claims that ``verify`` checks are rows of data in ``CLAIMS``, one per CLI
+target: each row's edge counts per (n, r), connectivity, universe, least n,
+predicted maximizer set, warning and CLI defaults.  ``verify`` runs any row
+with one scan per (n, alpha), a walk for THRESHOLD rows and an ``ALL`` scan
+for Lemma 2.4's row, whose verdict is that every maximizer is threshold.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -419,101 +421,92 @@ def predicted_maximizers(n: int, m: int, alpha) -> set[str]:
     return expected
 
 
-def _with_match(report: VerificationReport, expected: set[str], extra_warnings=()) -> VerificationReport:
-    return replace(
-        report,
-        matches_theorem=set(report.maximizer_set) == expected,
-        warnings=report.warnings + tuple(extra_warnings),
-    )
-
-
-def verify_sparse_band(n_values, alphas) -> list[VerificationReport]:
-    """Connected-family scans for every m in [n-1, 2n-2].
-
-    Expected outcome: the quasi-star alone, except the two-graph tie with
-    S~(n, n+2) at alpha = 1/2, m = n+2.
-    """
-    reports = []
-    for n in n_values:
-        if n < 4:
-            raise ValueError("sparse-band verification needs n >= 4")
-        reports.extend(_band_reports(n, range(n - 1, 2 * n - 1), alphas))
-    return reports
-
-
-def _band_reports(n: int, ms: range, alphas, extra=()) -> list[VerificationReport]:
-    """Matched reports of the connected families (n, m), ordered by m then alpha: one walk per alpha."""
-    families = [FamilySpec(n, m, connected_only=True, universe=THRESHOLD) for m in ms]
-    scans = [threshold_argmax(families, alpha) for alpha in alphas] if families else []
-    return [_with_match(scan[i], predicted_maximizers(n, m, alpha), extra)
-            for i, m in enumerate(ms) for alpha, scan in zip(alphas, scans)]
-
-
-def verify_all_graphs_2n2(n_values) -> list[VerificationReport]:
-    """Scans over all (not necessarily connected) threshold graphs, m = 2n-2.
-
-    At alpha = 1/2 the expected maximizer is K_5 u K_1 for n = 6 and the
-    quasi-star otherwise.  Restricting to the threshold universe is lossless:
-    a maximizer over all graphs of fixed order and size is threshold.
-    """
-    reports = []
-    for n in n_values:
-        if n < 4:
-            raise ValueError("needs n >= 4 so that m = 2n-2 is feasible")
-        m = 2 * n - 2
-        family = FamilySpec(n, m, connected_only=False, universe=THRESHOLD)
-        report = argmax_rho(family, HALF)
-        expected = {"IDDDDI"} if n == 6 else {quasi_star(n, m).text}  # K_5 u K_1 at n = 6
-        reports.append(_with_match(report, expected))
-    return reports
-
-
 def clique_band_hypothesis_bound(r: int) -> float:
     """Smallest order beyond which the band characterization is claimed."""
     return (30 * r - 63 + 5 * (32 * r * r - 136 * r + 137) ** 0.5) / 2
 
 
-def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
-    """Connected-family scans for (r-1)n - r(r-1)/2 < m <= rn - r(r+1)/2.
-
-    Expected outcome: quasi-star alone, except the S~ tie at alpha = 1/2 and
-    m = (r-1)n - r(r-1)/2 + 3.  Runs below the hypothesis bound on n are
-    still scanned but flagged with a warning, since no claim is made there.
-    """
-    if r < 3:
-        raise ValueError("band verification needs r >= 3")
-    lo = (r - 1) * n - r * (r - 1) // 2
-    hi = r * n - r * (r + 1) // 2
-    extra = ()
+def _outside_hypothesis(n: int, r: int) -> tuple[str, ...]:
     bound = clique_band_hypothesis_bound(r)
-    if n <= bound:
-        extra = (f"outside-hypothesis: n={n} is not above the bound {bound:.3f}",)
-    return _band_reports(n, range(lo + 1, hi + 1), alphas, extra)
+    return (f"outside-hypothesis: n={n} is not above the bound {bound:.3f}",) if n <= bound else ()
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One ``verify`` target: the families it scans, its prediction there and its CLI defaults."""
+
+    edges: Callable[[int, int | None], range]  # (n, r) -> the edge counts of order n's families
+    predict: Callable[[int, int, Fraction], set[str]] | None  # (n, m, alpha) -> maximizers; None: all threshold
+    n: str  # default --n
+    alphas: str | None  # default --alpha; None fixes alpha at 1/2 and refuses --alpha
+    connected_only: bool = True
+    universe: str = THRESHOLD
+    least_n: tuple[int, str] | None = None  # the least order and the error below it
+    warn: Callable[[int, int], tuple[str, ...]] | None = None  # (n, r) -> warnings on each record of order n
+    least_r: int | None = None  # None: the row takes no r
+
+
+CLAIMS = {
+    # Theorem 4.1: S(n,m) on the sparse band m <= 2n-2, with the S~ tie at alpha = 1/2.
+    "t41": Claim(lambda n, r: range(n - 1, 2 * n - 1), predicted_maximizers, "4..12", "1/2,3/4",
+                 least_n=(4, "sparse-band verification needs n >= 4")),
+    # Theorem 1.2 over all graphs of size 2n-2: K_5 u K_1 at n = 6, else S(n,m).  A maximizer over all
+    # graphs of fixed order and size is threshold, so the threshold universe is lossless.
+    "t12": Claim(lambda n, r: range(2 * n - 2, 2 * n - 1),
+                 lambda n, m, alpha: {"IDDDDI"} if n == 6 else {quasi_star(n, m).text}, "4..16", None,
+                 connected_only=False, least_n=(4, "needs n >= 4 so that m = 2n-2 is feasible")),
+    # Theorem 4.2 on the clique band (r-1)n - r(r-1)/2 < m <= rn - r(r+1)/2, claimed above the hypothesis bound.
+    "t42": Claim(lambda n, r: range((r - 1) * n - r * (r - 1) // 2 + 1, r * n - r * (r + 1) // 2 + 1),
+                 predicted_maximizers, "24", "1/2,3/4", warn=_outside_hypothesis, least_r=3),
+    # Lemma 2.4: every maximizer over the connected graphs of order n <= 7 is threshold.
+    "lemma24": Claim(lambda n, r: range(n - 1, n * (n - 1) // 2 + 1), None, "4..7", "0,1/2,3/4", universe=ALL),
+}
+
+
+def verify(target: str, n_values, alphas, r: int | None = None) -> list[VerificationReport]:
+    """Reports of the ``CLAIMS[target]`` families, ordered by n, m then alpha: one scan per (n, alpha).
+
+    ``matches_theorem`` is True when the maximizer set is the row's prediction,
+    or, for Lemma 2.4's row, when every maximizer is threshold.  That alone
+    decides the lemma: connected threshold graphs are members of the ALL
+    family, so a threshold ALL maximizer is also the threshold maximum, up to
+    the kernels' certified residuals (sqrt(n) * 1e-11), far inside the tie window.
+    """
+    claim, alphas = CLAIMS[target], [as_alpha(alpha) for alpha in alphas]
+    if claim.alphas is None and alphas != [HALF]:
+        raise ValueError(f"verify {target} checks alpha = 1/2 only")
+    if claim.least_r is not None and (r is None or r < claim.least_r):
+        raise ValueError(f"band verification needs r >= {claim.least_r}")
+    scan = threshold_argmax if claim.universe == THRESHOLD else _all_reports
+    reports = []
+    for n in n_values:
+        if claim.least_n and n < claim.least_n[0]:
+            raise ValueError(claim.least_n[1])
+        families = [FamilySpec(n, m, claim.connected_only, claim.universe) for m in claim.edges(n, r)]
+        warned = claim.warn(n, r) if claim.warn else ()
+        scans = [scan(families, alpha) for alpha in alphas] if families else []
+        for report in (report for row in zip(*scans) for report in row):
+            ok = (_all_threshold(report) if claim.predict is None
+                  else set(report.maximizer_set) == claim.predict(n, report.family.m, report.alpha))
+            reports.append(replace(report, matches_theorem=ok, warnings=report.warnings + warned))
+    return reports
+
+
+def verify_clique_band(r: int, n: int, alphas) -> list[VerificationReport]:
+    """``verify("t42", [n], alphas, r)``; kept because the benchmark's reference checker imports it."""
+    return verify("t42", [n], alphas, r)
 
 
 def threshold_dominance_report(n: int, m: int, alpha) -> VerificationReport:
-    """The ALL-connected scan of (n, m) alone, with ``verify_threshold_dominance``'s verdict."""
-    return _dominance_verdict(_all_reports([FamilySpec(n, m, universe=ALL)], as_alpha(alpha))[0])
+    """The ALL-connected scan of (n, m) alone, with ``verify("lemma24", ...)``'s verdict.
 
-
-def _dominance_verdict(report: VerificationReport) -> VerificationReport:
-    """``matches_theorem`` is True when every maximizer is threshold; a key's label counts are its degrees."""
-    labels = "123456789"[: report.family.n]
-    threshold = all(is_threshold_degrees(map(key.count, labels)) for key in report.maximizer_set)
-    return replace(report, matches_theorem=threshold)
-
-
-def verify_threshold_dominance(n_values, alphas) -> list[VerificationReport]:
-    """Reports of every connected ALL family (n, m), ordered by n, m then alpha: one ALL scan per (n, alpha), no walk.
-
-    ``matches_theorem`` is True when every maximizer is threshold (``_dominance_verdict``).  That alone
-    decides Lemma 2.4: connected threshold graphs are members of the ALL family, so a threshold ALL maximizer is also
-    the threshold maximum.  A threshold walk's maximum could differ from the ALL scan's only by the kernels' certified
-    residuals, each radius within sqrt(n) * 1e-11 of the true one, far inside the tie window.
+    Kept because the benchmark's reference checker imports it.
     """
-    reports = []
-    for n in n_values:
-        families = [FamilySpec(n, m, universe=ALL) for m in range(n - 1, n * (n - 1) // 2 + 1)]
-        scans = [_all_reports(families, as_alpha(alpha)) for alpha in alphas]
-        reports.extend(_dominance_verdict(report) for row in zip(*scans) for report in row)
-    return reports
+    report = _all_reports([FamilySpec(n, m, universe=ALL)], as_alpha(alpha))[0]
+    return replace(report, matches_theorem=_all_threshold(report))
+
+
+def _all_threshold(report: VerificationReport) -> bool:
+    """Whether every maximizer of an ALL report is threshold; a key's label counts are its degrees."""
+    labels = "123456789"[: report.family.n]
+    return all(is_threshold_degrees(map(key.count, labels)) for key in report.maximizer_set)

@@ -22,10 +22,7 @@ from quasistar.search import (
     ALL,
     FamilySpec,
     enumerate_all,
-    verify_all_graphs_2n2,
-    verify_clique_band,
-    verify_sparse_band,
-    verify_threshold_dominance,
+    verify,
 )
 from quasistar.spectra import alpha_matrix, threshold_spectrum
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
@@ -50,7 +47,7 @@ def announce(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_sparse_band():
     start = time.perf_counter()
-    reports = verify_sparse_band(range(4, 13), SWEEP_ALPHAS)
+    reports = verify("t41", range(4, 13), SWEEP_ALPHAS)
     bad = [r for r in reports if not r.matches_theorem]
     ties = [r for r in reports if len(r.maximizer_set) == 2]
     ok = not bad
@@ -73,7 +70,7 @@ def test_criterion_1_sparse_band():
 
 def test_criterion_2_all_graphs_2n2():
     start = time.perf_counter()
-    reports = verify_all_graphs_2n2(range(4, 17))
+    reports = verify("t12", range(4, 17), [HALF])
     bad = [r for r in reports if not r.matches_theorem]
     at6 = next(r for r in reports if r.family.n == 6)
     elapsed = time.perf_counter() - start
@@ -92,7 +89,7 @@ def test_criterion_2_all_graphs_2n2():
 
 def test_criterion_3_band_r3_n24():
     start = time.perf_counter()
-    reports = verify_clique_band(3, 24, [HALF, Fraction(3, 4)])
+    reports = verify("t42", [24], [HALF, Fraction(3, 4)], r=3)
     bad = [r for r in reports if not r.matches_theorem]
     ties = [r for r in reports if len(r.maximizer_set) == 2]
     elapsed = time.perf_counter() - start
@@ -231,7 +228,7 @@ def test_criterion_6_threshold_dominance():
     start = time.perf_counter()
     checks = 0
     alphas = (Fraction(0), HALF, Fraction(3, 4))
-    reports = verify_threshold_dominance(range(2, 8), alphas)
+    reports = verify("lemma24", range(2, 8), alphas)
     assert [(r.family.n, r.family.m, r.alpha) for r in reports] == [
         (n, m, alpha) for n in range(2, 8) for m in range(n - 1, n * (n - 1) // 2 + 1) for alpha in alphas
     ]

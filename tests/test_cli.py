@@ -13,6 +13,7 @@ import pytest
 import quasistar
 from quasistar.cli import main
 from quasistar.graphs import ThresholdGraph, format_edge_list, l_graph, quasi_star, to_labeled
+from quasistar.search import CLAIMS
 from quasistar.spectra import spectral_radius, threshold_spectrum
 
 
@@ -337,15 +338,33 @@ def test_verify_empty_sweep_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "t12", "--n", "5", "--alpha", "3/4"),  # t12 checks alpha = 1/2 only
-    ("verify", "t41", "--n", "5", "--r", "3"),
-    ("verify", "t12", "--n", "5", "--r", "3"),
-    ("verify", "lemma24", "--n", "4", "--r", "3"),
+    *(("verify", target, "--n", "5", "--r", "3") for target, claim in CLAIMS.items() if claim.least_r is None),
+    *(("verify", target, "--n", "5", "--alpha", "3/4") for target, claim in CLAIMS.items() if claim.alphas is None),
+    *(("verify", target, "--n", "24") for target, claim in CLAIMS.items() if claim.least_r is not None),
 ])
 def test_verify_refuses_an_option_its_target_does_not_read(capsys, argv):
+    # Each row's option rules: no r refuses --r, a fixed alpha refuses --alpha, and an r is required.
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert ("--alpha" if "--alpha" in argv else "--r") in err
+
+
+# Per target: the options a run needs, and its default --n and --alpha spelled out.
+DEFAULT_RUNS = {
+    "t41": ((), ("--n", "4..12", "--alpha", "1/2,3/4")),
+    "t12": ((), ("--n", "4..16")),
+    "t42": (("--r", "3"), ("--n", "24", "--alpha", "1/2,3/4")),
+    "lemma24": ((), ("--n", "4..7", "--alpha", "0,1/2,3/4")),
+}
+
+
+@pytest.mark.parametrize("target", list(CLAIMS))
+def test_verify_defaults_come_from_the_claim_row(capsys, target):
+    needed, defaults = DEFAULT_RUNS[target]
+    code, out, err = run(capsys, "--format", "structured", "verify", target, *needed)
+    assert code == 0 and err == "" and out
+    assert run(capsys, "--format", "structured", "verify", target, *needed, *defaults) == (code, out, err)
 
 
 # ---------------------------------------------------------------------------

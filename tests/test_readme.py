@@ -5,6 +5,7 @@ import shlex
 from pathlib import Path
 
 from quasistar.cli import build_parser
+from quasistar.search import CLAIMS
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -26,3 +27,9 @@ def test_readme_cli_lines_parse():
 def test_readme_python_block_runs():
     (block,) = fenced_blocks("python")
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_names_exactly_the_claim_rows():
+    # The "Verification targets:" sentence names each target as `name` (...).
+    sentence = re.search(r"Verification targets:(.*?)\.\s", README.read_text(), re.S).group(1)
+    assert re.findall(r"`(\w+)`\s+\(", sentence) == list(CLAIMS)

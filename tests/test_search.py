@@ -31,10 +31,7 @@ from quasistar.search import (
     predicted_maximizers,
     threshold_argmax,
     threshold_dominance_report,
-    verify_all_graphs_2n2,
-    verify_clique_band,
-    verify_sparse_band,
-    verify_threshold_dominance,
+    verify,
 )
 from quasistar.spectra import (
     RHO_COMPARE_TOL,
@@ -575,6 +572,17 @@ def test_pruned_band_scan_matches_one_call_reference(monkeypatch):
     assert sum(tested) < 5400
 
 
+def test_unsure_counts_prune_nothing(monkeypatch):
+    # A count of 0 proves nothing on a row with a zero or non-finite pivot: with
+    # every row unsure, the walk keeps and solves all 54 members of the families.
+    families = [FamilySpec(12, m) for m in range(11, 23)]
+    expected = threshold_argmax(families, HALF)
+    monkeypatch.setattr(search, "count_above", lambda dom, alpha, x: (np.zeros(len(dom), int), np.ones(len(dom), bool), 0.0))
+    rows = counted_rows(monkeypatch, "family_spectra")
+    assert threshold_argmax(families, HALF) == expected
+    assert sum(rows) == sum(len(list(enumerate_threshold(family))) for family in families) == 54
+
+
 def test_prune_level_is_below_every_best_non_maximizer(monkeypatch):
     """Every x a scan counts at lies ``_PRUNE_MARGIN`` below its family's final best non-maximizer, or lower.
 
@@ -612,10 +620,10 @@ def test_walk_blocks_stay_within_family_chunk(monkeypatch):
     # The frontier is expanded and tested in blocks, and leaves are solved in
     # blocks, of at most FAMILY_CHUNK rows, so memory does not grow with the band.
     alphas = [HALF, Fraction(9, 10)]
-    expected = verify_clique_band(3, 24, alphas)
+    expected = verify("t42", [24], alphas, r=3)
     monkeypatch.setattr(search, "FAMILY_CHUNK", 16)
     rows = counted_rows(monkeypatch, "count_above", "family_spectra")
-    assert verify_clique_band(3, 24, alphas) == expected
+    assert verify("t42", [24], alphas, r=3) == expected
     assert len(rows) > 100 and max(rows) <= 16
 
 
@@ -767,7 +775,7 @@ def test_predicted_maximizers():
 
 
 def test_verify_sparse_band_small():
-    reports = verify_sparse_band(range(4, 9), [HALF, Fraction(3, 4)])
+    reports = verify("t41", range(4, 9), [HALF, Fraction(3, 4)])
     assert all(r.matches_theorem for r in reports)
     ties = [r for r in reports if len(r.maximizer_set) == 2]
     assert all(r.alpha == HALF and r.family.m == r.family.n + 2 for r in ties)
@@ -775,7 +783,7 @@ def test_verify_sparse_band_small():
 
 
 def test_verify_all_graphs_2n2_small():
-    reports = verify_all_graphs_2n2(range(4, 9))
+    reports = verify("t12", range(4, 9), [HALF])
     assert all(r.matches_theorem for r in reports)
     at6 = [r for r in reports if r.family.n == 6][0]
     assert at6.maximizer_set == ("IDDDDI",)
@@ -785,7 +793,7 @@ def test_verify_all_graphs_2n2_small():
 
 def test_near_tie_warning_names_the_gap():
     # At alpha = 99/100 the best non-maximizer of the m = 11 family comes within 1e-6.
-    warned = {r.family.m: r.warnings for r in verify_sparse_band([9], [Fraction(99, 100)]) if r.warnings}
+    warned = {r.family.m: r.warnings for r in verify("t41", [9], [Fraction(99, 100)]) if r.warnings}
     assert warned == {11: ("near-tie: best non-maximizer within 7.316e-07 of the maximum",)}
 
 
@@ -795,7 +803,7 @@ def test_clique_band_hypothesis_bound_formula():
 
 def test_verify_clique_band_tie_instance():
     # The n = 24 instance (tie at m = 48) is criterion 3; n = 12 ties at m = 24.
-    reports = verify_clique_band(3, 12, [HALF])
+    reports = verify("t42", [12], [HALF], r=3)
     assert all("near-tie" not in w for r in reports for w in r.warnings)
     tie = [r for r in reports if r.family.m == 24][0]
     assert set(tie.maximizer_set) == {quasi_star(12, 24).text, tilde_s(12, 24).text}
@@ -803,7 +811,7 @@ def test_verify_clique_band_tie_instance():
 
 
 def test_verify_clique_band_flags_small_n():
-    reports = verify_clique_band(3, 12, [Fraction(3, 4)])
+    reports = verify("t42", [12], [Fraction(3, 4)], r=3)
     assert all(any("outside-hypothesis" in w for w in r.warnings) for r in reports)
 
 
@@ -838,7 +846,7 @@ def test_threshold_dominance_rejects_infeasible_families(n, m):
 @pytest.mark.parametrize("n, message", [(0, "need n >= 1"), (8, "limited to n <= 7")])
 def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message):
     with pytest.raises(ValueError, match=message):
-        verify_threshold_dominance([n], [HALF])
+        verify("lemma24", [n], [HALF])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -848,6 +856,8 @@ def test_dominance_sweep_rejects_orders_outside_the_exhaustive_range(n, message)
      "the threshold walk needs THRESHOLD families of one order and connectivity"),
     (lambda: list(candidate_specs(6, "DIAG")), "kind must be one of ('BASIC', 'ROW', 'COL'), got 'DIAG'"),
     (lambda: quasi_star(0, 0), "need n >= 1"),
+    (lambda: verify("t12", [5], [Fraction(3, 4)]), "verify t12 checks alpha = 1/2 only"),
+    (lambda: verify("t42", [12], [HALF]), "band verification needs r >= 3"),
 ])
 def test_api_input_checks(call, message):
     with pytest.raises(ValueError) as info:
@@ -873,7 +883,7 @@ def test_dominance_verdict_matches_the_two_scan_verdict():
                         and all(is_threshold(from_edge_key(key, n)) for key in report.maximizer_set))
                 for report, threshold in zip(reports, walk)
             ]
-            assert verify_threshold_dominance([n], [alpha]) == expected, (n, alpha)
+            assert verify("lemma24", [n], [alpha]) == expected, (n, alpha)
             assert [threshold_dominance_report(n, r.family.m, alpha) for r in expected] == expected, (n, alpha)
             failures += sum(not r.matches_theorem for r in expected)
     assert failures == 13  # ROADMAP direction 1: the window ties a non-threshold class near alpha = 1
@@ -898,7 +908,7 @@ def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
     monkeypatch.setattr(search, "threshold_argmax", counted)
     rows = counted_rows(monkeypatch, "dense_spectra")
     alphas = [Fraction(k, 17) for k in range(17)]
-    reports = verify_threshold_dominance([7], alphas)
+    reports = verify("lemma24", [7], alphas)
     assert len(walks) == 0 and len(rows) == 2 * 17
     assert [(r.family.m, r.alpha) for r in reports] == [(m, a) for m in range(6, 22) for a in alphas]
     assert all(r.matches_theorem for r in reports)
@@ -906,5 +916,5 @@ def test_dominance_sweep_scans_each_order_and_alpha_once(monkeypatch):
     # The pivot test leaves at most 15% of the 853 connected classes of order 7 to the dense solver.
     for alpha in (Fraction(0), HALF, Fraction(3, 4)):
         rows.clear()
-        verify_threshold_dominance([7], [alpha])
+        verify("lemma24", [7], [alpha])
         assert sum(rows) <= 0.15 * 853, alpha
