@@ -40,9 +40,7 @@ from .search import (
     enumerate_all,
     enumerate_threshold,
     predicted_maximizers,
-    threshold_dominance_report,
     verify,
-    verify_clique_band,
 )
 from .spectra import (
     NonConvergenceError,
@@ -50,7 +48,6 @@ from .spectra import (
     alpha_matrix,
     as_alpha,
     spectral_radius,
-    threshold_spectrum,
 )
 from .transforms import (
     InvalidTransformError,

@@ -245,7 +245,12 @@ class _Reduction:
 
 def argmax_rho(family: FamilySpec, alpha) -> VerificationReport:
     """Scan the family for its maximizers at alpha."""
-    return (threshold_argmax if family.universe == THRESHOLD else _all_reports)([family], as_alpha(alpha))[0]
+    return _scan([family], as_alpha(alpha))[0]
+
+
+def _scan(families, alpha: Fraction) -> list[VerificationReport]:
+    """Reports of families of one order and universe: the one universe dispatch of every scan."""
+    return (threshold_argmax if families[0].universe == THRESHOLD else _all_reports)(families, alpha)
 
 
 @lru_cache(maxsize=16)  # read-only; one table serves every family of an order
@@ -477,14 +482,13 @@ def verify(target: str, n_values, alphas, r: int | None = None) -> list[Verifica
         raise ValueError(f"verify {target} checks alpha = 1/2 only")
     if claim.least_r is not None and (r is None or r < claim.least_r):
         raise ValueError(f"band verification needs r >= {claim.least_r}")
-    scan = threshold_argmax if claim.universe == THRESHOLD else _all_reports
     reports = []
     for n in n_values:
         if claim.least_n and n < claim.least_n[0]:
             raise ValueError(claim.least_n[1])
         families = [FamilySpec(n, m, claim.connected_only, claim.universe) for m in claim.edges(n, r)]
         warned = claim.warn(n, r) if claim.warn else ()
-        scans = [scan(families, alpha) for alpha in alphas] if families else []
+        scans = [_scan(families, alpha) for alpha in alphas] if families else []
         for report in (report for row in zip(*scans) for report in row):
             ok = (_all_threshold(report) if claim.predict is None
                   else set(report.maximizer_set) == claim.predict(n, report.family.m, report.alpha))

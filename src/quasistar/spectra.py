@@ -13,11 +13,11 @@ Dominant eigenpairs come from LAPACK's ``numpy.linalg.eigh``, in two
 batched kernels that each solve a whole stack with one stacked call.
 General graphs go through ``dense_spectra``: ``alpha_matrices`` assembles
 M_alpha for a (B, k, k) stack of adjacency matrices, and the kernel solves
-the stack.  ``spectral_radius`` alone picks the kernel for one graph: a
-``ThresholdGraph`` reads ``threshold_spectrum``, any other graph is solved
-densely, component by component.  ``definite_above`` spares a scan the matrices
-whose x I - M_alpha has only positive Cholesky pivots, which proves rho
-below x + 64 k^2 eps (|x| + k).  Threshold graphs have one kernel,
+the stack.  ``spectral_radius`` is the one entry for one graph: a
+``ThresholdGraph`` reads a cached row of the threshold kernel, any other graph
+is solved densely, component by component.  ``definite_above`` spares a scan
+the matrices whose x I - M_alpha has only positive Cholesky pivots, which
+proves rho below x + 64 k^2 eps (|x| + k).  Threshold graphs have one kernel,
 ``family_spectra``, on their run quotients: maximal runs of equal creation
 symbols (the first vertex joins the second's run; a trailing ``I`` run is
 split off as isolated vertices) are twin classes, hence an equitable
@@ -27,13 +27,13 @@ its walk that ``count_above``, an O(n) count of the eigenvalues above x by
 the inertia of a tridiagonal congruent to M_alpha - xI, does not prove below
 the family's top radii; on a walk node's supergraph, that count, not a
 residual, certifies every member under the node.
-``threshold_spectrum``, the cached one-graph entry, reads a connected
-graph's row from a table of its order's 2^(n-2) connected graphs (those whose
-creation sequence ends in D), solved in one call at each alpha, when the
-order has at most ``FAMILY_CHUNK`` threshold graphs (n <= 10); any other
-graph is a batch of one row.  Every pair is certified: the vector's sign makes
-its sum positive, no entry may be negative beyond rounding, and the
-infinity-norm residual of the full n-vector against M_alpha must stay below
+For a ``ThresholdGraph``, ``spectral_radius`` reads a connected graph's row
+from a table of its order's 2^(n-2) connected graphs (those whose creation
+sequence ends in D), solved in one call at each alpha, when the order has at
+most ``FAMILY_CHUNK`` threshold graphs (n <= 10); any other graph is a batch
+of one row.  Every pair is certified: the vector's sign makes its sum
+positive, no entry may be negative beyond rounding, and the infinity-norm
+residual of the full n-vector against M_alpha must stay below
 ``RESIDUAL_TOL`` (for threshold graphs by an O(n) prefix-sum product in
 creation order).  A scan's chunk fails as a whole; a table row is gated on
 its own, so the error names the requested graph's residual.
@@ -64,7 +64,7 @@ HALF = Fraction(1, 2)
 #: Rows per block: a threshold scan expands, tests and solves its walk's
 #: frontier in blocks of at most this many bool rows, and an order with at
 #: most this many threshold graphs (n <= 10) has its connected graphs solved
-#: as one table for ``threshold_spectrum``.  It bounds the memory of both.
+#: as one table for ``spectral_radius``.  It bounds the memory of both.
 FAMILY_CHUNK = 512
 
 
@@ -171,12 +171,14 @@ def dense_spectra(mats: np.ndarray):
 def spectral_radius(g: LabeledGraph | ThresholdGraph, alpha) -> Spectrum:
     """Spectral radius and Perron vector of M_alpha(g), from the one kernel that suits g.
 
-    A ``ThresholdGraph`` reads ``threshold_spectrum`` (in ``to_labeled``'s labels);
-    any other graph goes to ``dense_spectra`` by component, the largest radius wins
-    (ties go to the smallest vertex's component, still a genuine eigenvector).
+    A ``ThresholdGraph`` reads its row of the cached ``_threshold_spectrum``, keyed
+    by the normalised alpha (in ``to_labeled``'s labels); any other graph goes to
+    ``dense_spectra`` by component, the largest radius wins (ties go to the
+    smallest vertex's component, still a genuine eigenvector).
     """
     if isinstance(g, ThresholdGraph):
-        return threshold_spectrum(g, alpha)
+        alpha = as_alpha(alpha)
+        return _threshold_spectrum(g.text, alpha.numerator, alpha.denominator)
     mat = alpha_matrix(g, alpha)
     best = None  # (rho, component indices, unit vector, residual)
     for comp in g.components():
@@ -190,12 +192,6 @@ def spectral_radius(g: LabeledGraph | ThresholdGraph, alpha) -> Spectrum:
     perron[idx] = vec
     perron.setflags(write=False)
     return Spectrum(rho=rho, perron=perron, iterations=0, residual=resid)
-
-
-def threshold_spectrum(g: ThresholdGraph, alpha) -> Spectrum:
-    """Cached spectrum of a threshold graph in its stepwise vertex order."""
-    alpha = as_alpha(alpha)
-    return _threshold_spectrum(g.text, alpha.numerator, alpha.denominator)
 
 
 # The Spectrum cache, keyed by creation sequence and alpha's numerator and

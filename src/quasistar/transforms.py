@@ -58,7 +58,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .graphs import ThresholdGraph, from_degree_sequence
-from .spectra import as_alpha, same_radius, threshold_spectrum
+from .spectra import as_alpha, same_radius, spectral_radius
 
 KINDS = ("BASIC", "ROW", "COL")
 
@@ -305,16 +305,16 @@ def certify(g: ThresholdGraph, spec: TransformSpec, alpha) -> MonotonicityCertif
     """Apply the rewiring and certify the spectral-radius comparison.
 
     alpha is normalised once and the rule is read off the sign of 2 num - den,
-    with no Fraction arithmetic; the memoised ``apply_transform`` validates
-    and rewires a move once across alphas.
+    with no Fraction arithmetic; the memoised ``apply_transform`` validates and
+    rewires a move once across alphas, and ``spectral_radius`` serves both spectra.
     """
     alpha = as_alpha(alpha)
     num, den = alpha.numerator, alpha.denominator
     half = 2 * num - den  # the sign of alpha - 1/2
     a = num / den  # float(alpha): one correctly rounded division
     g_after = apply_transform(g, spec)
-    spec_before = threshold_spectrum(g, alpha)
-    spec_after = threshold_spectrum(g_after, alpha)
+    spec_before = spectral_radius(g, alpha)
+    spec_after = spectral_radius(g_after, alpha)
     rho1, rho2 = spec_before.rho, spec_after.rho
 
     if half < 0:

@@ -24,7 +24,7 @@ from quasistar.search import (
     enumerate_all,
     verify,
 )
-from quasistar.spectra import alpha_matrix, threshold_spectrum
+from quasistar.spectra import alpha_matrix, spectral_radius
 from quasistar.transforms import TransformSpec, apply_transform, candidate_specs, certify, validate
 from graph_builders import connected_threshold_graphs
 from spectral_checks import char_poly, perron_order_check, q_upper_bound, signless_laplacian_radius
@@ -55,8 +55,8 @@ def test_criterion_1_sparse_band():
         assert r.alpha == HALF and r.family.m == r.family.n + 2
         assert r.family.n >= 5  # at n=4 the tie partner coincides with K_4
         n = r.family.n
-        drho = abs(threshold_spectrum(quasi_star(n, n + 2), HALF).rho
-                   - threshold_spectrum(tilde_s(n, n + 2), HALF).rho)
+        drho = abs(spectral_radius(quasi_star(n, n + 2), HALF).rho
+                   - spectral_radius(tilde_s(n, n + 2), HALF).rho)
         assert drho <= RHO_TOL
     elapsed = time.perf_counter() - start
     announce(1, ok, f"{len(reports)} families, {len(ties)} predicted ties, {elapsed:.1f}s")
@@ -102,8 +102,8 @@ def test_criterion_3_band_r3_n24():
     assert tie.family.m == 48 and tie.alpha == HALF
     assert set(tie.maximizer_set) == {quasi_star(24, 48).text, tilde_s(24, 48).text}
     assert tie.tie_gap > 1e-6
-    drho = abs(threshold_spectrum(quasi_star(24, 48), HALF).rho
-               - threshold_spectrum(tilde_s(24, 48), HALF).rho)
+    drho = abs(spectral_radius(quasi_star(24, 48), HALF).rho
+               - spectral_radius(tilde_s(24, 48), HALF).rho)
     assert drho <= RHO_TOL
 
 
@@ -151,7 +151,7 @@ def _check_q(g, lower, coeffs, formula, partition):
     # All roots are real: the quotient is similar to a symmetric matrix.
     root = np.roots([float(c) for c in coeffs]).real.max()
     assert abs(root - q) <= EQ_TOL
-    assert abs(root - 2 * threshold_spectrum(g, HALF).rho) <= EQ_TOL
+    assert abs(root - 2 * spectral_radius(g, HALF).rho) <= EQ_TOL
     if partition is None:
         return
     mat = 2 * alpha_matrix(lab, HALF)  # exact: entries are integers

@@ -14,7 +14,7 @@ import quasistar
 from quasistar.cli import main
 from quasistar.graphs import ThresholdGraph, format_edge_list, l_graph, quasi_star, to_labeled
 from quasistar.search import CLAIMS
-from quasistar.spectra import spectral_radius, threshold_spectrum
+from quasistar.spectra import spectral_radius
 
 
 def run(capsys, *argv):
@@ -109,7 +109,7 @@ def test_rho_of_a_creation_sequence_is_the_threshold_kernel_row(capsys, alpha):
         code, out, _ = run(capsys, "rho", text, alpha)
         assert code == 0, text
         fields = dict(line.split("=", 1) for line in out.splitlines())
-        assert fields == rho_fields(threshold_spectrum(ThresholdGraph(text), alpha)), (text, alpha)
+        assert fields == rho_fields(spectral_radius(ThresholdGraph(text), alpha)), (text, alpha)
 
 
 def test_rho_prints_the_radius_that_verify_reports(capsys):

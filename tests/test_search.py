@@ -583,6 +583,25 @@ def test_unsure_counts_prune_nothing(monkeypatch):
     assert sum(rows) == sum(len(list(enumerate_threshold(family))) for family in families) == 54
 
 
+def test_prune_rule_leaves_room_for_the_tie_window():
+    # A proof prunes only when RHO_COMPARE_TOL + error < _PRUNE_MARGIN, so a row
+    # proved below x + error lies more than the tie window below x + margin, the
+    # family's best non-maximizer.
+    reduction, fam = search._Reduction(1), np.zeros(1, dtype=int)
+    reduction.below[0] = 2.0
+    levels = []
+
+    def proof(error):
+        def prove(x):
+            levels.append(x.tolist())
+            return np.ones(len(x), dtype=bool), error
+        return prove
+
+    assert not reduction.proved_below(fam, proof(search._PRUNE_MARGIN - RHO_COMPARE_TOL / 2)).any()
+    assert reduction.proved_below(fam, proof(search._PRUNE_MARGIN - 2 * RHO_COMPARE_TOL)).all()
+    assert levels == [[2.0 - search._PRUNE_MARGIN]] * 2
+
+
 def test_prune_level_is_below_every_best_non_maximizer(monkeypatch):
     """Every x a scan counts at lies ``_PRUNE_MARGIN`` below its family's final best non-maximizer, or lower.
 

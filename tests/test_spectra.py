@@ -27,7 +27,6 @@ from quasistar.spectra import (
     definite_above,
     family_spectra,
     spectral_radius,
-    threshold_spectrum,
 )
 from graph_builders import complete_graph, graph_union, threshold_graphs
 from spectral_checks import char_poly, perron_order_check, q_upper_bound, signless_laplacian_radius
@@ -219,7 +218,7 @@ def test_nonconvergence_reports_residual(monkeypatch, cold_spectrum_cache):
     with pytest.raises(NonConvergenceError, match="did not converge") as dense:
         spectral_radius(to_labeled(g), alpha)
     with pytest.raises(NonConvergenceError, match="did not converge") as quotient:
-        threshold_spectrum(g, alpha)
+        spectral_radius(g, alpha)
     # The residual of (rho + shift, x) is shift * max|x|.
     for err in (dense, quotient):
         assert err.value.residual > RESIDUAL_TOL
@@ -247,7 +246,7 @@ def test_wrong_lift_fails_the_residual(monkeypatch, cold_spectrum_cache):
     exact = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda mat: (exact(mat)[0], exact(mat)[1][..., ::-1, :]))
     with pytest.raises(NonConvergenceError, match="did not converge"):
-        threshold_spectrum(g, Fraction(5, 13))
+        spectral_radius(g, Fraction(5, 13))
     # The scan of (12, 24) solves 8 of its 15 members and proves the rest out.
     for family in (FamilySpec(6, 10), FamilySpec(12, 24)):
         with pytest.raises(NonConvergenceError, match="did not converge"):
@@ -295,7 +294,7 @@ def test_quotient_kernel_matches_dense_eigh(n):
         for g, rho_batched in zip(graphs, rho):
             mat = alpha_matrix(to_labeled(g), alpha)
             vals, vecs = np.linalg.eigh(mat)
-            spec = threshold_spectrum(g, alpha)
+            spec = spectral_radius(g, alpha)
             # Bit for bit: the batch, the one-graph solve and the old per-graph solve.
             assert rho_batched == spec.rho == lone_quotient_rho(g, alpha)
             assert abs(spec.rho - vals[-1]) <= 1e-12
@@ -330,6 +329,22 @@ def test_inertia_count_matches_eigvalsh():
             assert count_above(dom, alpha, np.nan)[1].all()  # a non-finite pivot is unsure too
 
 
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(3, 4)])
+def test_count_error_covers_its_documented_bound(alpha):
+    # ``error`` >= 64 n^2 eps (max|T| + max|x| + 1), T = E (M - xI) E^T in creation
+    # order, E subtracting row i + 1 from row i; T is tridiagonal and exact here.
+    g, x = ThresholdGraph("IDIDDIDD"), 3.0
+    n, eps = g.n, np.finfo(float).eps
+    edges = [(j + 1, i + 1) for i, sym in enumerate(g.text) if sym == "D" for j in range(i)]
+    shifted = alpha_matrix(LabeledGraph.from_edges(n, edges), alpha) - x * np.eye(n)
+    e = np.eye(n) - np.eye(n, k=1)
+    t = e @ shifted @ e.T
+    assert not np.triu(t, 2).any()
+    above, unsure, error = count_above(np.array([[sym == "D" for sym in g.text]]), alpha, x)
+    assert not unsure.any() and above[0] == (np.linalg.eigvalsh(shifted) > 0).sum()
+    assert error >= 64 * n * n * eps * (np.abs(t).max() + abs(x) + 1)
+
+
 @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(999, 1000)])
 def test_pivot_test_matches_eigvalsh(alpha):
     # Every connected class with n <= 7, probed at its top eigenvalue less and
@@ -346,11 +361,11 @@ def test_pivot_test_matches_eigvalsh(alpha):
 
 
 def assert_served_spectrum_is_batch_row(graphs, alpha):
-    """A served ``threshold_spectrum`` equals its row of a separate ``family_spectra`` call, bit for bit."""
+    """A threshold graph's ``spectral_radius`` equals its row of a separate ``family_spectra`` call, bit for bit."""
     dom = np.array([[sym == "D" for sym in g.text] for g in graphs])
     rho, x, residual = family_spectra(dom, alpha)
     for g, rho_row, x_row, residual_row in zip(graphs, rho, x, residual):
-        served = threshold_spectrum(g, alpha)
+        served = spectral_radius(g, alpha)
         # Stepwise labels sort by descending degree; equal degrees are twins with equal entries.
         lifted = x_row[np.argsort(-np.array(g.creation_degrees()), kind="stable")]
         assert served.rho == rho_row, (g.text, alpha)
@@ -410,10 +425,10 @@ def test_one_kernel_call_per_order(monkeypatch, cold_spectrum_cache):
 
 def test_threshold_spectrum_cache_consistency():
     g = quasi_star(9, 20)
-    s1 = threshold_spectrum(g, HALF)
-    s2 = threshold_spectrum(g, Fraction(2, 4))
+    s1 = spectral_radius(g, HALF)
+    s2 = spectral_radius(g, Fraction(2, 4))
     assert s1 is s2  # exact rational key: 2/4 == 1/2
-    assert spectral_radius(g, HALF) is s1  # a threshold graph's one-graph entry is its cached row
+    assert spectra._threshold_spectrum(g.text, 1, 2) is s1  # a threshold graph's one-graph entry is its cached row
 
 
 # ---------------------------------------------------------------------------

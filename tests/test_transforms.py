@@ -17,7 +17,7 @@ from quasistar.graphs import (
     threshold_from_labeled,
     to_labeled,
 )
-from quasistar.spectra import spectral_radius, threshold_spectrum
+from quasistar.spectra import spectral_radius
 from quasistar.transforms import (
     InvalidTransformError,
     TransformSpec,
@@ -519,7 +519,7 @@ def test_certificates_do_not_depend_on_call_order_or_cache_state():
         deg = [len(nbrs) for nbrs in rewired_labeled(g, spec).neighbor_sets()[1:]]
         assert deg == sorted(deg, reverse=True), (g.text, spec.text)
         for alpha in alphas:
-            perron = threshold_spectrum(apply_transform(g, spec), alpha).perron
+            perron = spectral_radius(apply_transform(g, spec), alpha).perron
             scattered = np.empty(g.n)
             scattered[np.argsort(-np.array(deg), kind="stable")] = perron
             assert np.array_equal(scattered, perron), (g.text, spec.text)
@@ -552,7 +552,7 @@ def test_perturbed_vector_breaks_identity():
     # (here x_h) moves the residual linearly in the bump size.
     host = l_graph(7, 12)
     spec = TransformSpec("ROW", 7, 2, 5, 3, 1)
-    s = threshold_spectrum(host, HALF)
+    s = spectral_radius(host, HALF)
     base = eq1_residual(s.rho, s.perron, spec, 0.5)
     assert base <= 1e-10
     slope = abs(s.rho - (spec.k + spec.l) * 0.5)  # d(residual)/d(x_h)
